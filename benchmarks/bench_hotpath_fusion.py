@@ -1,31 +1,27 @@
-"""Hot-path fusion: fused E-step/gradient training vs the legacy path.
+"""Hot-path E-step kernel: the one training path, in float64 and float32.
 
 Trains the Alex-CIFAR timing configuration (the Figures 5-7 setup, run
-*eagerly* so the EM machinery fires every iteration) under four
-configurations of the same experiment:
+*eagerly* so the EM machinery fires every iteration) twice:
 
-- ``legacy``     — ``fused=False`` + per-layer E-steps
-  (``stacked_em=False``): the pre-fusion arithmetic, which evaluates
-  the per-component Gaussian densities twice per iteration;
-- ``fused_exact``— the default: one shared density evaluation per
-  iteration with bit-identical reference arithmetic;
-- ``fused_fast`` — the single-``exp`` buffered kernel over the stacked
-  multi-layer block;
-- ``fused_fast_f32`` — the same kernel computing in float32 with the
-  model cast to float32 (float64 M-step accumulation).
+- ``float64`` — the model as built;
+- ``float32`` — the model cast to float32 (``model_dtype``), so the
+  E-step kernel evaluates the densities in float32 too.
 
 It writes ``BENCH_hotpath.json`` with per-phase attribution (the
-``phase/estep`` … ``phase/sgd`` timer totals per mode) and enforces the
-tentpole's claims:
+``phase/estep`` … ``phase/sgd`` timer totals per mode) and checks that
+the run is the same experiment as the legacy two-evaluation path it
+replaced:
 
-- ``fused_fast`` trains >= 2x faster than ``legacy`` (training-loop
-  wall-clock, same data, same seed);
-- the float64 fused modes' final losses are within 1e-6 of the legacy
-  run (``fused_exact``'s whole loss trajectory is bit-identical); the
-  float32 mode is held to single-precision scale (1e-3);
-- the win is attributable to the E-/M-step phases: the fused run's
-  density-evaluation count is half the legacy run's, and the E+M phase
-  savings account for the bulk of the wall-clock saved.
+- every float64 epoch loss is within 1e-12 of the legacy losses
+  frozen below from the committed ``BENCH_hotpath.json`` of that path;
+- the float32 final loss is within 1e-3 of the legacy final loss
+  (single-precision scale);
+- one density evaluation per E-step refresh: 1440 on the full run,
+  where the legacy path evaluated 2880.
+
+The speed of this path is measured end to end by the ``train_eager``
+workload of ``benchmarks/e2e`` (parent against change), not here: the
+legacy path this bench used to time against no longer exists.
 
 Run standalone (CI) or under pytest-benchmark like the other benches::
 
@@ -42,27 +38,31 @@ from repro.experiments.deep import load_image_data, train_deep
 from repro.experiments.timing import timing_bench_config
 from repro.telemetry import bench_filename, bench_payload, write_bench_json
 
-MIN_SPEEDUP = 2.0
-MAX_LOSS_DIFF = 1e-6
+# Per-epoch training losses of the legacy path (two density evaluations
+# per iteration, reference arithmetic) on the 12-epoch configuration,
+# from the committed BENCH_hotpath.json it wrote.  The learning rate is
+# constant, so a shorter run follows the first epochs of this one.
+LEGACY_LOSSES = (
+    2.3348888519160864,
+    2.2125066463555374,
+    2.058670602864405,
+    1.7435361582026154,
+    1.5129916886160872,
+    1.4160775765099158,
+    1.3042552499644628,
+    1.268103008109435,
+    1.2173429867532046,
+    1.2984305985430469,
+    1.17776653175829,
+    1.2147094466419233,
+)
+LEGACY_DENSITY_EVALS = 2880
+MAX_LOSS_DIFF = 1e-12
 # float32 accumulates rounding over the whole SGD trajectory, so its
-# final loss is compared at single-precision scale, not the float64
-# bit-comparability gate.
+# final loss is compared at single-precision scale.
 MAX_LOSS_DIFF_F32 = 1e-3
-# Fraction of the wall-clock saving that must come from the phases the
-# fusion actually touches (E-step + M-step + grad), per the phase timers.
-MIN_EM_ATTRIBUTION = 0.5
 
-MODES = {
-    "legacy": dict(
-        reg_kwargs={"fused": False}, trainer_kwargs={"stacked_em": False}
-    ),
-    "fused_exact": dict(),
-    "fused_fast": dict(reg_kwargs={"kernel": "fast"}),
-    "fused_fast_f32": dict(
-        reg_kwargs={"kernel": "fast", "compute_dtype": np.float32},
-        model_dtype=np.float32,
-    ),
-}
+MODES = {"float64": None, "float32": np.float32}
 
 PHASES = ("estep", "grad", "mstep", "sgd")
 
@@ -70,28 +70,28 @@ PHASES = ("estep", "grad", "mstep", "sgd")
 def run_benchmark(quick: bool = False):
     config = timing_bench_config(epochs=3 if quick else 12)
     data = load_image_data(config)
+    legacy = LEGACY_LOSSES[: config.epochs]
 
     modes = {}
-    for mode, kwargs in MODES.items():
-        result = train_deep(config, data=data, **kwargs)
-        times = result.history.cumulative_times()
+    for mode, model_dtype in MODES.items():
+        result = train_deep(config, data=data, model_dtype=model_dtype)
+        losses = [float(v) for v in result.history.losses()]
         gauges = result.metrics.get("gauges", {})
         modes[mode] = {
-            "wall_seconds": float(times[-1]),
+            "wall_seconds": float(result.history.cumulative_times()[-1]),
             "phases": {
                 p: result.phase_seconds().get(p, 0.0) for p in PHASES
             },
-            "losses": [float(v) for v in result.history.losses()],
-            "final_loss": float(result.history.losses()[-1]),
+            "losses": losses,
+            "final_loss": losses[-1],
             "test_accuracy": result.test_accuracy,
             "density_evals": int(gauges.get("em/density_evals") or 0),
             "estep_refreshes": int(gauges.get("em/estep_refreshes") or 0),
+            "max_loss_abs_diff": max(
+                abs(a - b) for a, b in zip(losses, legacy)
+            ),
+            "final_loss_abs_diff": abs(losses[-1] - legacy[-1]),
         }
-
-    legacy = modes["legacy"]
-    for mode, m in modes.items():
-        m["speedup"] = legacy["wall_seconds"] / m["wall_seconds"]
-        m["loss_abs_diff"] = abs(m["final_loss"] - legacy["final_loss"])
 
     payload = bench_payload(
         "hotpath",
@@ -105,10 +105,9 @@ def run_benchmark(quick: bool = False):
                 "epochs": config.epochs,
                 "batch_size": config.batch_size,
             },
-            "min_speedup": MIN_SPEEDUP,
+            "legacy_losses": list(legacy),
             "max_loss_diff": MAX_LOSS_DIFF,
             "max_loss_diff_f32": MAX_LOSS_DIFF_F32,
-            "min_em_attribution": MIN_EM_ATTRIBUTION,
             "modes": modes,
         },
     )
@@ -117,67 +116,47 @@ def run_benchmark(quick: bool = False):
 
 
 def check_claims(payload):
-    modes = payload["extra"]["modes"]
-    legacy, fast = modes["legacy"], modes["fused_fast"]
-
-    assert fast["speedup"] >= MIN_SPEEDUP, (
-        f"fused fast path is only {fast['speedup']:.2f}x faster than the "
-        f"legacy path (gate: >= {MIN_SPEEDUP}x; legacy "
-        f"{legacy['wall_seconds']:.2f}s, fused {fast['wall_seconds']:.2f}s)"
+    extra = payload["extra"]
+    f64, f32 = extra["modes"]["float64"], extra["modes"]["float32"]
+    assert f64["max_loss_abs_diff"] <= MAX_LOSS_DIFF, (
+        f"float64 epoch losses differ from the legacy path by up to "
+        f"{f64['max_loss_abs_diff']:.2e} (> {MAX_LOSS_DIFF:.0e})"
     )
-    for mode, tol in (
-        ("fused_exact", MAX_LOSS_DIFF),
-        ("fused_fast", MAX_LOSS_DIFF),
-        ("fused_fast_f32", MAX_LOSS_DIFF_F32),
-    ):
-        diff = modes[mode]["loss_abs_diff"]
-        assert diff <= tol, (
-            f"{mode} final loss differs from legacy by {diff:.2e} (> {tol:.0e})"
+    assert f32["final_loss_abs_diff"] <= MAX_LOSS_DIFF_F32, (
+        f"float32 final loss differs from the legacy path by "
+        f"{f32['final_loss_abs_diff']:.2e} (> {MAX_LOSS_DIFF_F32:.0e})"
+    )
+    # One density evaluation per E-step refresh: an eager iteration
+    # shares it between g_reg and the M-step statistics, where the
+    # legacy path evaluated twice per refresh.
+    refreshes_per_epoch = LEGACY_DENSITY_EVALS // 2 // len(LEGACY_LOSSES)
+    expected = refreshes_per_epoch * extra["config"]["epochs"]
+    for mode, m in extra["modes"].items():
+        assert m["density_evals"] == m["estep_refreshes"] == expected, (
+            f"{mode}: {m['density_evals']} density evaluations for "
+            f"{m['estep_refreshes']} E-step refreshes (expected {expected})"
         )
-    assert modes["fused_exact"]["losses"] == legacy["losses"], (
-        "fused exact kernel must be bit-identical to the legacy path"
-    )
-
-    # Attribution: the fused path evaluates the densities once per
-    # refresh instead of twice, and the saving shows up in the phases
-    # the fusion touches.
-    assert legacy["density_evals"] == 2 * fast["density_evals"], (
-        f"expected legacy to evaluate densities twice per refresh "
-        f"(legacy {legacy['density_evals']}, fused {fast['density_evals']})"
-    )
-    em_saved = sum(
-        legacy["phases"][p] - fast["phases"][p]
-        for p in ("estep", "grad", "mstep")
-    )
-    wall_saved = legacy["wall_seconds"] - fast["wall_seconds"]
-    attribution = em_saved / wall_saved
-    assert attribution >= MIN_EM_ATTRIBUTION, (
-        f"only {attribution:.0%} of the saving is in the E-step/grad/"
-        f"M-step phases (gate: >= {MIN_EM_ATTRIBUTION:.0%})"
-    )
 
 
 def format_report(payload, path):
     extra = payload["extra"]
-    modes = extra["modes"]
-    lines = ["=== hot-path fusion: training wall-clock by mode ==="]
-    header = (
-        f"{'mode':16s} {'wall':>7s} {'speedup':>8s} "
+    lines = ["=== hot-path E-step kernel: training wall-clock by mode ==="]
+    lines.append(
+        f"{'mode':10s} {'wall':>7s} "
         + " ".join(f"{p:>7s}" for p in PHASES)
-        + f" {'|dloss|':>9s} {'#dens':>6s}"
+        + f" {'max|dloss|':>11s} {'#dens':>6s}"
     )
-    lines.append(header)
-    for mode, m in modes.items():
+    for mode, m in extra["modes"].items():
         lines.append(
-            f"{mode:16s} {m['wall_seconds']:6.2f}s {m['speedup']:7.2f}x "
+            f"{mode:10s} {m['wall_seconds']:6.2f}s "
             + " ".join(f"{m['phases'][p]:6.2f}s" for p in PHASES)
-            + f" {m['loss_abs_diff']:9.1e} {m['density_evals']:6d}"
+            + f" {m['max_loss_abs_diff']:11.1e} {m['density_evals']:6d}"
         )
     lines.append(
-        f"gates: speedup >= {extra['min_speedup']}x, "
-        f"|final loss - legacy| <= {extra['max_loss_diff']:.0e} "
-        f"(f32: {extra['max_loss_diff_f32']:.0e}), "
-        f"E/M attribution >= {extra['min_em_attribution']:.0%}"
+        f"gates: float64 epoch losses within {extra['max_loss_diff']:.0e} "
+        f"of legacy, float32 final loss within "
+        f"{extra['max_loss_diff_f32']:.0e}, one density evaluation per "
+        f"E-step refresh"
     )
     lines.append(f"wrote {path}")
     return "\n".join(lines)

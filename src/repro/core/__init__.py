@@ -25,17 +25,14 @@ Baselines
 
 from .em import (
     em_step,
-    em_step_from_responsibilities,
     em_step_from_stats,
     gm_loss_terms,
-    suffstats_from_responsibilities,
     update_mixing_coefficients,
     update_precisions,
 )
 from .fusion import (
     EStepResult,
     Workspace,
-    fused_estep,
     stacked_estep,
     stacked_prepare,
 )
@@ -82,15 +79,12 @@ __all__ = [
     "proportional_precisions",
     "initialize_mixture",
     "em_step",
-    "em_step_from_responsibilities",
     "em_step_from_stats",
-    "suffstats_from_responsibilities",
     "gm_loss_terms",
     "update_precisions",
     "update_mixing_coefficients",
     "EStepResult",
     "Workspace",
-    "fused_estep",
     "stacked_estep",
     "stacked_prepare",
     "Recommendation",

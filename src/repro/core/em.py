@@ -23,7 +23,7 @@ renormalizing, and expose a switch so the behaviour can be ablated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,11 +35,9 @@ __all__ = [
     "mixing_from_stats",
     "update_precisions",
     "update_mixing_coefficients",
-    "suffstats_from_responsibilities",
     "merge_plan",
     "merge_similar_components",
     "em_step",
-    "em_step_from_responsibilities",
     "em_step_from_stats",
     "gm_loss_terms",
 ]
@@ -225,35 +223,6 @@ def update_mixing_coefficients(
     )
 
 
-def suffstats_from_responsibilities(
-    responsibilities: np.ndarray,
-    w: np.ndarray,
-    accumulate_dtype: "np.dtype[Any]" = np.dtype(np.float64),
-) -> "tuple[np.ndarray, np.ndarray]":
-    """The two M-step sufficient statistics from a responsibility matrix.
-
-    Returns ``(resp_sum, weighted_sq)`` — ``sum_m r_k(w_m)`` and
-    ``sum_m r_k(w_m) w_m^2`` — accumulated in ``accumulate_dtype``.
-    This is the accumulation half of :func:`update_precisions` /
-    :func:`update_mixing_coefficients`, split out so the fused hot path
-    (which may hold float32 responsibilities) can choose float64
-    accumulation explicitly; with float64 inputs it reproduces the
-    unfused arithmetic bit-for-bit.
-    """
-    accumulate_dtype = np.dtype(accumulate_dtype)
-    w = np.asarray(w).reshape(-1)
-    if responsibilities.dtype == accumulate_dtype:
-        resp_sum = responsibilities.sum(axis=0)
-        w = w.astype(accumulate_dtype, copy=False)
-        weighted_sq = responsibilities.T @ (w * w)
-    else:
-        resp = responsibilities.astype(accumulate_dtype)
-        resp_sum = resp.sum(axis=0)
-        w = w.astype(accumulate_dtype, copy=False)
-        weighted_sq = resp.T @ (w * w)
-    return resp_sum, weighted_sq
-
-
 def merge_plan(
     pi: np.ndarray,
     lam: np.ndarray,
@@ -266,9 +235,7 @@ def merge_plan(
     the input arrays) of components that collapse into one, ordered by
     ascending precision.  The running merged precision is the
     pi-weighted mean, so the grouping is identical to what
-    :func:`merge_similar_components` applies.  The online EM path uses
-    the plan to merge its decayed sufficient statistics alongside the
-    mixture parameters.
+    :func:`merge_similar_components` applies.
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
@@ -298,6 +265,7 @@ def merge_similar_components(
     pi: np.ndarray,
     lam: np.ndarray,
     rel_tol: float = 0.02,
+    stats: Sequence[np.ndarray] = (),
 ) -> tuple:
     """Merge components whose precisions have converged to the same value.
 
@@ -310,19 +278,22 @@ def merge_similar_components(
     pi-weighted mean.
 
     Returns the (possibly shorter) ``(pi, lam)`` pair, sorted by
-    ascending precision.
+    ascending precision, followed by each per-component array of
+    ``stats`` (the M-step's ``S0``/``S1``) merged the same way: a merged
+    component's statistic is the sum of its members'.
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
-    merged_pi = []
-    merged_lam = []
-    for group in merge_plan(pi, lam, rel_tol=rel_tol):
-        total = float(pi[group].sum())
-        merged_pi.append(total)
-        merged_lam.append(
-            float((pi[group] * lam[group]).sum()) / max(total, 1e-300)
-        )
-    return np.asarray(merged_pi), np.asarray(merged_lam)
+    groups = merge_plan(pi, lam, rel_tol=rel_tol)
+    totals = np.array([pi[group].sum() for group in groups])
+    merged_lam = np.array(
+        [(pi[group] * lam[group]).sum() for group in groups]
+    ) / np.maximum(totals, 1e-300)
+    merged_stats = [
+        np.array([np.asarray(s)[group].sum() for group in groups])
+        for s in stats
+    ]
+    return (totals, merged_lam, *merged_stats)
 
 
 def em_step(
@@ -337,6 +308,10 @@ def em_step(
 ) -> GaussianMixture:
     """One full E+M step on the GM parameters for fixed ``w``.
 
+    The reference E-step: the ``(M, K)`` responsibilities of
+    :meth:`GaussianMixture.responsibilities` reduced to the M-step
+    statistics.  Training runs the same M-step on the statistics of
+    :func:`repro.core.fusion.stacked_estep`; the tests compare the two.
     Components pruned to zero mixing coefficient are removed from the
     returned mixture, and components whose precisions have converged to
     the same value are merged (matching the paper's observation that K=4
@@ -344,10 +319,10 @@ def em_step(
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     resp = mixture.responsibilities(w)
-    return em_step_from_responsibilities(
+    updated, _, _ = em_step_from_stats(
         mixture,
-        w,
-        resp,
+        resp.sum(axis=0),
+        resp.T @ (w * w),
         alpha=alpha,
         a=a,
         b=b,
@@ -355,42 +330,7 @@ def em_step(
         merge=merge,
         merge_rel_tol=merge_rel_tol,
     )
-
-
-def em_step_from_responsibilities(
-    mixture: GaussianMixture,
-    w: np.ndarray,
-    responsibilities: np.ndarray,
-    alpha: np.ndarray,
-    a: float,
-    b: float,
-    prune: bool = True,
-    merge: bool = True,
-    merge_rel_tol: float = 0.02,
-) -> GaussianMixture:
-    """M-step given responsibilities already computed for ``(mixture, w)``.
-
-    The fused hot path computes Equation (9) once per iteration and
-    shares it between the regularizer gradient (Equation (10)) and this
-    M-step; :func:`em_step` is exactly this function fed a fresh E-step.
-    With float64 responsibilities the result is bit-identical to
-    :func:`em_step` on the same inputs.
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    resp_sum, weighted_sq = suffstats_from_responsibilities(
-        responsibilities, w
-    )
-    return em_step_from_stats(
-        mixture,
-        resp_sum,
-        weighted_sq,
-        alpha=alpha,
-        a=a,
-        b=b,
-        prune=prune,
-        merge=merge,
-        merge_rel_tol=merge_rel_tol,
-    )
+    return updated
 
 
 def em_step_from_stats(
@@ -403,13 +343,15 @@ def em_step_from_stats(
     prune: bool = True,
     merge: bool = True,
     merge_rel_tol: float = 0.02,
-) -> GaussianMixture:
-    """M-step evaluated directly on the two sufficient statistics.
+) -> Tuple[GaussianMixture, np.ndarray, np.ndarray]:
+    """The M-step on the two sufficient statistics ``S0`` and ``S1``.
 
-    ``mixture`` is only consulted for its component count sanity check;
-    the update itself is Equations (13)/(17) on ``resp_sum`` /
-    ``weighted_sq`` followed by the same prune/merge post-processing as
-    :func:`em_step`.
+    Equations (13)/(17) on ``resp_sum`` / ``weighted_sq``, then pruning
+    and merging.  Returns the updated mixture together with the
+    statistics aligned to its components: pruned components drop their
+    rows and merged ones sum theirs, which is what the online EM's
+    decayed running statistics carry into the next step.  ``mixture``
+    is only consulted for its component count sanity check.
     """
     resp_sum = np.asarray(resp_sum, dtype=np.float64).reshape(-1)
     weighted_sq = np.asarray(weighted_sq, dtype=np.float64).reshape(-1)
@@ -424,9 +366,13 @@ def em_step_from_stats(
     if not np.all(keep) and keep.sum() >= 1:
         pi = pi[keep] / pi[keep].sum()
         lam = lam[keep]
+        resp_sum = resp_sum[keep]
+        weighted_sq = weighted_sq[keep]
     if merge and pi.size > 1:
-        pi, lam = merge_similar_components(pi, lam, rel_tol=merge_rel_tol)
-    return GaussianMixture(pi=pi, lam=lam)
+        pi, lam, resp_sum, weighted_sq = merge_similar_components(
+            pi, lam, rel_tol=merge_rel_tol, stats=(resp_sum, weighted_sq)
+        )
+    return GaussianMixture(pi=pi, lam=lam), resp_sum, weighted_sq
 
 
 def gm_loss_terms(

@@ -1,82 +1,72 @@
-"""Fused E-step/gradient kernels — the training hot path.
+"""The E-step kernel — the training hot path.
 
-Profiling with the per-phase timers (``phase/estep`` … ``phase/sgd``)
-shows the GM regularizer's EM machinery dominating training time, and
-that the dominant cost is evaluating the per-component Gaussian
-densities ``N(w_m | 0, lambda_k)`` over every parameter dimension.
-Before this module the densities were evaluated **twice** per
-iteration: once for the responsibilities feeding ``g_reg``
-(Equations (9)+(10) share them) and once more inside the M-step's
-:func:`~repro.core.em.em_step`.  The lazy-update schedule of
-Algorithm 2 exists precisely because that inner loop was expensive.
+Every quantity Algorithm 2 needs from an E-step comes from the same
+per-component Gaussian densities ``N(w_m | 0, lambda_k)``: the
+regularizer gradient ``g_reg`` of Equation (10) weights each
+parameter by its responsibility-averaged precision, and the M-step of
+Equations (13)/(17) needs only two per-component sums of the
+responsibilities of Equation (9),
 
-This module makes the inner loop cheap:
+    S0_k = sum_m r_k(w_m)        S1_k = sum_m r_k(w_m) w_m^2.
 
-- :func:`fused_estep` evaluates the shared log-densities **once** and
-  returns both the responsibility matrix (for the M-step) and the
-  regularizer gradient ``g_reg`` (for the SGD step).
-- Two kernels: ``"exact"`` reproduces
-  :meth:`~repro.core.gaussian_mixture.GaussianMixture.responsibilities`
-  arithmetic bit-for-bit, while ``"fast"`` replaces the textbook
-  two-``exp`` log-space normalization with a single ``exp`` and a
-  division (``r = exp(a - amax) / sum exp(a - amax)``), fuses the
-  constant terms, and works out of preallocated buffers.
-- A float32 compute path (``compute_dtype``) for the ``"fast"`` kernel
-  halves memory traffic; sufficient statistics can still be
-  accumulated in float64 (see
-  :func:`~repro.core.em.suffstats_from_responsibilities`).
-- :func:`stacked_estep` vectorizes the per-layer GM update loop into a
-  single stacked-parameter pass: the flattened weights of many layers
-  are concatenated and one kernel invocation serves every mixture,
-  instead of one numpy call chain per layer.
-- :class:`Workspace` caches the intermediate ``(M, K)`` buffers across
-  iterations so the hot loop stops allocating tens of megabytes per
-  step.
+:func:`stacked_estep` evaluates the densities once per layer and
+returns ``g_reg``, ``S0`` and ``S1`` together — never the ``(M, K)``
+responsibility matrix itself — so an iteration that runs both an
+E-step and an M-step evaluates the densities exactly once.  The
+kernel:
 
-``benchmarks/bench_hotpath_fusion.py`` gates the whole pass: fused
-training must be >= 2x faster than the legacy unfused path on the
-Alex-CIFAR config at matching (<= 1e-6) losses, with the win
-attributed to the estep/grad phases by the phase timers.
+- works in a ``(K, M)`` layout: every reduction is over long
+  contiguous rows, or a BLAS product with a ``(2, K)`` or ``(M, 2)``
+  operand, instead of ``M`` tiny strided loops over ``K``;
+- stabilizes the softmax against the broadest component (the smallest
+  precision) rather than a per-parameter maximum.  Its log-density
+  ratio to every other component is largest at ``w = 0`` and bounded
+  there by the ``pi`` floor and the precision range, so ``exp`` never
+  overflows and the normalizer is at least 1.  That removes the max
+  and subtract passes;
+- folds the normalization ``r = p / sum_k p_k`` into the consumers
+  instead of dividing the whole matrix;
+- evaluates the densities at the parameters' own dtype (float32
+  parameters get a float32 evaluation), accumulates ``S0``/``S1`` in
+  float64 and returns them and ``g_reg`` in float64;
+- stacks many layers: the flattened weights of every layer share one
+  set of buffers, the element-wise passes run once over the stack,
+  and each layer's component block is a slice of it.  A layer alone
+  is a stack of one, so it gives the same bits alone and stacked.
+
+:func:`stacked_prepare` drives the kernel from the trainers: one call
+per iteration serves every GM regularizer whose E-step is due.
+:class:`Workspace` keeps the buffers across iterations so the hot loop
+does not allocate them again each step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gaussian_mixture import GaussianMixture, _logsumexp
+from .gaussian_mixture import GaussianMixture
 
 __all__ = [
     "Workspace",
     "EStepResult",
-    "KERNELS",
-    "fused_estep",
     "stacked_estep",
     "stacked_prepare",
 ]
-
-# 0.5 * log(2 * pi), the constant part of the Gaussian log density.
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-#: The supported E-step kernels: ``"exact"`` is bit-identical to the
-#: unfused reference arithmetic; ``"fast"`` is the single-``exp``
-#: buffered kernel (and the only one that supports float32 compute).
-KERNELS = ("exact", "fast")
 
 
 class Workspace:
     """A keyed cache of reusable numpy buffers.
 
-    The hot path allocates several ``(M, K)`` float64 temporaries per
-    E-step — ~2.5 MB each for an 80k-parameter layer — every iteration.
-    A workspace hands back the same buffer for the same ``(key, shape,
+    The hot path allocates several ``(K, M)`` temporaries per E-step —
+    ~2.5 MB each for an 80k-parameter stack — every iteration.  A
+    workspace hands back the same buffer for the same ``(key, shape,
     dtype)`` request, so steady-state training performs zero large
     allocations.  Buffers are private to their owner (one workspace per
-    regularizer / per layer); contents are only valid until the next
-    request for the same key.
+    trainer, regularizer or layer); contents are only valid until the
+    next request for the same key.
     """
 
     def __init__(self) -> None:
@@ -121,306 +111,104 @@ class Workspace:
 
 @dataclass
 class EStepResult:
-    """One fused E-step evaluation for a single mixture.
+    """One layer's E-step: everything Algorithm 2 needs from it.
 
     Attributes
     ----------
-    responsibilities:
-        Equation (9) matrix ``(M, K)`` in the kernel's compute dtype.
-        May be a view into a workspace buffer — valid until the owner's
-        next E-step.
     gradient:
         Flat ``g_reg`` of Equation (10)'s second term,
-        ``sum_k r_k(w_m) lambda_k w_m``, always float64.
+        ``sum_k r_k(w_m) lambda_k w_m``, float64, shape ``(M,)``.
+    resp_sum:
+        ``S0_k = sum_m r_k(w_m)``, float64, shape ``(K,)``.
+    weighted_sq:
+        ``S1_k = sum_m r_k(w_m) w_m^2``, float64, shape ``(K,)``.
     """
 
-    responsibilities: np.ndarray
     gradient: np.ndarray
-
-
-def fused_estep(
-    mixture: GaussianMixture,
-    w: np.ndarray,
-    kernel: str = "fast",
-    compute_dtype: "np.dtype[Any]" = np.dtype(np.float64),
-    workspace: Optional[Workspace] = None,
-) -> EStepResult:
-    """Responsibilities and ``g_reg`` from one shared density evaluation.
-
-    Parameters
-    ----------
-    mixture:
-        The current GM prior.
-    w:
-        Flattened float64 parameter vector, shape ``(M,)``.
-    kernel:
-        ``"exact"`` reproduces the unfused reference arithmetic
-        bit-for-bit; ``"fast"`` uses the single-``exp`` buffered kernel.
-    compute_dtype:
-        Dtype of the density evaluation (``"fast"`` kernel only;
-        float32 is the fast path, float64 the default).
-    workspace:
-        Buffer cache reused across iterations (``"fast"`` kernel only).
-    """
-    results = stacked_estep(
-        [mixture],
-        [w],
-        kernel=kernel,
-        compute_dtype=compute_dtype,
-        workspace=workspace,
-    )
-    return results[0]
+    resp_sum: np.ndarray
+    weighted_sq: np.ndarray
 
 
 def stacked_estep(
     mixtures: Sequence[GaussianMixture],
     ws: Sequence[np.ndarray],
-    kernel: str = "fast",
-    compute_dtype: "np.dtype[Any]" = np.dtype(np.float64),
     workspace: Optional[Workspace] = None,
 ) -> List[EStepResult]:
-    """One fused E-step over many ``(mixture, w)`` pairs at once.
+    """One E-step over many ``(mixture, w)`` pairs at once.
 
-    Deep models carry one GM per layer (Section V-B1); evaluating them
-    layer-by-layer pays the full numpy dispatch chain per layer.  This
-    pass concatenates every layer's flattened weights into one vector,
-    pads the per-layer component axes to a common ``K_max`` (padded
-    components get ``-inf`` log-weight, hence exactly zero
-    responsibility), and runs a single kernel invocation over the
-    ``(M_total, K_max)`` block.  Per-layer results are returned as
-    slices of the stacked buffers in input order.
-
-    With ``kernel="exact"`` the stacked results are bit-identical to
-    per-layer evaluation: padding contributes exact zeros to every
-    reduction and all element-wise arithmetic is unchanged.
+    Deep models carry one GM per layer (Section V-B1).  The layers'
+    flattened weights are concatenated into one vector and each layer
+    fills its own ``(K, M_layer)`` block of a shared ``(K_max,
+    M_total)`` density buffer.  Results come back in input order; the
+    gradients are slices of one freshly allocated float64 array, so
+    they stay valid after later calls (the lazy schedule caches them).
     """
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if len(mixtures) != len(ws):
         raise ValueError(
             f"got {len(mixtures)} mixtures but {len(ws)} parameter vectors"
         )
     if not mixtures:
         return []
-    compute_dtype = np.dtype(compute_dtype)
-    if kernel == "exact" and compute_dtype != np.dtype(np.float64):
-        raise ValueError(
-            "the exact kernel is float64-only; use kernel='fast' for "
-            f"compute_dtype={compute_dtype}"
-        )
-    flats = [np.asarray(w, dtype=np.float64).reshape(-1) for w in ws]
-    if len(mixtures) == 1:
-        if kernel == "exact":
-            return [_exact_single(mixtures[0], flats[0])]
-        return [_fast_single(mixtures[0], flats[0], compute_dtype, workspace)]
-    if kernel == "exact":
-        return _exact_stacked(list(mixtures), flats)
-    return _fast_stacked(list(mixtures), flats, compute_dtype, workspace)
-
-
-# ----------------------------------------------------------------------
-# Exact kernel: reference arithmetic, evaluated once and shared.
-# ----------------------------------------------------------------------
-def _exact_single(mixture: GaussianMixture, flat: np.ndarray) -> EStepResult:
-    """Reference arithmetic for one mixture (bit-identical to unfused)."""
-    resp = mixture.responsibilities(flat)
-    effective_precision = resp @ mixture.lam
-    return EStepResult(
-        responsibilities=resp, gradient=effective_precision * flat
-    )
-
-
-def _exact_stacked(
-    mixtures: List[GaussianMixture], flats: List[np.ndarray]
-) -> List[EStepResult]:
-    """Stacked evaluation reproducing the reference arithmetic exactly.
-
-    Element-wise operations act on gathered per-layer rows, so every
-    scalar sees the same operands (hence the same rounding) as the
-    per-layer reference; padded components carry ``-inf`` log density
-    and contribute exact zeros to the row reductions.
-    """
+    buffers = workspace if workspace is not None else Workspace()
+    flats = [np.asarray(w).reshape(-1) for w in ws]
+    dtype = np.result_type(np.float32, *flats)
+    bounds = np.cumsum([0] + [flat.size for flat in flats])
+    m_total = int(bounds[-1])
     k_max = max(m.n_components for m in mixtures)
-    sizes = [flat.size for flat in flats]
-    x = np.concatenate(flats)
-    rows = np.repeat(np.arange(len(mixtures)), sizes)
 
-    half_log_lam = np.full((len(mixtures), k_max), -np.inf)
-    lam_pad = np.zeros((len(mixtures), k_max))
-    log_pi_pad = np.zeros((len(mixtures), k_max))
-    for i, m in enumerate(mixtures):
-        k = m.n_components
-        half_log_lam[i, :k] = 0.5 * np.log(m.lam)
-        lam_pad[i, :k] = m.lam
-        log_pi_pad[i, :k] = m._log_pi
-    # Mirrors GaussianMixture.component_log_pdf + responsibilities: the
-    # same products/sums per element, just with per-layer gathered rows.
-    x2 = x[:, None] ** 2
-    weighted = (
-        half_log_lam[rows]
-        - _HALF_LOG_TWO_PI
-        - 0.5 * lam_pad[rows] * x2
-    )
-    weighted += log_pi_pad[rows]
-    log_norm = _logsumexp(weighted, axis=1)
-    resp = np.exp(weighted - log_norm[:, None])
-
-    results: List[EStepResult] = []
-    lo = 0
-    for m, flat in zip(mixtures, flats):
-        hi = lo + flat.size
-        # Contiguous copy so downstream reductions (M-step suffstats, the
-        # gradient matvec) see the same memory layout — hence the same
-        # BLAS/pairwise-summation paths and bits — as the per-layer path.
-        block = np.ascontiguousarray(resp[lo:hi, : m.n_components])
-        effective_precision = block @ m.lam
-        results.append(
-            EStepResult(
-                responsibilities=block,
-                gradient=effective_precision * flat,
-            )
-        )
-        lo = hi
-    return results
-
-
-# ----------------------------------------------------------------------
-# Fast kernel: fused constants, one exp, buffered.
-#
-# All intermediates live in a transposed (K, M) layout: responsibilities
-# normalize *across components*, and with K ~ 4 a row-wise reduction
-# over an (M, K) array degenerates into M tiny strided reduce loops.
-# In (K, M) the same reductions (max, sum) sweep K long contiguous rows
-# — the difference is an order of magnitude on an 80k-parameter stack.
-# Results are returned as (M, K) transpose views, which downstream
-# consumers reduce efficiently: ``resp.sum(axis=0)`` and
-# ``resp.T @ w**2`` both stream over the contiguous base rows.
-# ----------------------------------------------------------------------
-def _fast_single(
-    mixture: GaussianMixture,
-    flat: np.ndarray,
-    compute_dtype: "np.dtype[Any]",
-    workspace: Optional[Workspace],
-) -> EStepResult:
-    """Single-``exp`` kernel for one mixture, out of workspace buffers."""
-    ws = workspace if workspace is not None else Workspace()
-    m_dim, k = flat.size, mixture.n_components
-    lam = mixture.lam.astype(compute_dtype)
-    # log pi_k + 0.5 log lambda_k - 0.5 log 2pi, fused into one constant.
-    log_weight = (
-        mixture._log_pi + 0.5 * np.log(mixture.lam) - _HALF_LOG_TWO_PI
-    ).astype(compute_dtype)
-
-    x = flat.astype(compute_dtype, copy=False)
-    x2 = ws.get("x2", (m_dim,), compute_dtype)
-    np.multiply(x, x, out=x2)
-    buf = ws.get("weighted", (k, m_dim), compute_dtype)
-    np.multiply((-0.5 * lam)[:, None], x2[None, :], out=buf)
-    buf += log_weight[:, None]
-    _normalize_components(buf, ws)
-    gradient = _fast_gradient(buf, lam, flat, ws)
-    return EStepResult(responsibilities=buf.T, gradient=gradient)
-
-
-def _fast_stacked(
-    mixtures: List[GaussianMixture],
-    flats: List[np.ndarray],
-    compute_dtype: "np.dtype[Any]",
-    workspace: Optional[Workspace],
-) -> List[EStepResult]:
-    """Single-``exp`` kernel over the stacked multi-layer block."""
-    ws = workspace if workspace is not None else Workspace()
-    k_max = max(m.n_components for m in mixtures)
-    sizes = [flat.size for flat in flats]
-    m_total = int(sum(sizes))
-    bounds = np.cumsum([0] + sizes)
-
-    x = ws.get("x", (m_total,), np.dtype(np.float64))
+    x = buffers.get("x", (m_total,), dtype)
     np.concatenate(flats, out=x)
-    xc = x.astype(compute_dtype, copy=False)
-    x2 = ws.get("x2", (m_total,), compute_dtype)
-    np.multiply(xc, xc, out=x2)
-
-    # Per-layer segment fill: each layer contributes a contiguous column
-    # block, so broadcasting its (K,) constants over the block is far
-    # cheaper than an 80k-row gather.  Padded components get -inf log
-    # weight (exact zero responsibility) and lambda 0 (no gradient).
-    buf = ws.get("weighted", (k_max, m_total), compute_dtype)
-    lam_cols = ws.get("lam_cols", (k_max, m_total), compute_dtype)
-    if len(mixtures) > 1:
-        buf.fill(-np.inf)
-        lam_cols.fill(0)
-    for i, m in enumerate(mixtures):
-        k = m.n_components
+    x2 = buffers.get("x2", (m_total,), dtype)
+    np.multiply(x, x, out=x2)
+    dens = buffers.get("dens", (k_max, m_total), dtype)
+    # Rows: the normalizer sum_k p_k, then sum_k lambda_k p_k.
+    sums = buffers.get("sums", (2, m_total), dtype)
+    for i, mixture in enumerate(mixtures):
         lo, hi = bounds[i], bounds[i + 1]
-        lam = m.lam.astype(compute_dtype)
-        log_weight = (
-            m._log_pi + 0.5 * np.log(m.lam) - _HALF_LOG_TWO_PI
-        ).astype(compute_dtype)
-        np.multiply(
-            (-0.5 * lam)[:, None], x2[None, lo:hi], out=buf[:k, lo:hi]
+        block = dens[: mixture.n_components, lo:hi]
+        lam = mixture.lam
+        # log(pi_k p_k / pi_ref p_ref) with ref the broadest component:
+        # the shared -0.5 log(2 pi) cancels and the exponent is largest,
+        # and bounded, at w = 0.
+        ref = int(np.argmin(lam))
+        log_weight = mixture._log_pi + 0.5 * np.log(lam)
+        slope = (-0.5 * (lam - lam[ref])).astype(dtype)
+        np.multiply(slope[:, None], x2[None, lo:hi], out=block)
+        block += (log_weight - log_weight[ref]).astype(dtype)[:, None]
+        np.exp(block, out=block)
+        np.matmul(
+            np.stack([np.ones_like(lam), lam]).astype(dtype),
+            block,
+            out=sums[:, lo:hi],
         )
-        buf[:k, lo:hi] += log_weight[:, None]
-        lam_cols[:k, lo:hi] = lam[:, None]
 
-    # One normalization and one gradient pass over the whole stack: the
-    # -inf padding never wins the column max and exps to exact zero.
-    _normalize_components(buf, ws)
-    lam_cols *= buf
-    precision = ws.get("precision", (m_total,), compute_dtype)
-    lam_cols.sum(axis=0, out=precision)
-    # The product allocates a fresh float64 array, so per-layer gradient
-    # slices stay valid across iterations (the lazy schedule caches
-    # them), unlike the workspace-backed responsibility views.
-    gradient_full = precision * x
+    # The normalization r = p / sum_k p_k, folded into the consumers:
+    # g_reg uses (sum_k lambda_k p_k) / (sum_k p_k), and the statistics
+    # weight each column by 1 / sum_k p_k.
+    weights = buffers.get("weights", (2, m_total), dtype)
+    np.divide(1.0, sums[0], out=weights[0])
+    np.multiply(x2, weights[0], out=weights[1])
+    np.multiply(sums[1], weights[0], out=sums[1])
+    gradient = np.multiply(sums[1], x, dtype=np.float64)
 
     results: List[EStepResult] = []
-    for i, m in enumerate(mixtures):
+    for i, mixture in enumerate(mixtures):
         lo, hi = bounds[i], bounds[i + 1]
+        block = dens[: mixture.n_components, lo:hi].astype(
+            np.float64, copy=False
+        )
+        # Accumulated in float64; both casts are no-ops for float64.
+        stats = block @ weights[:, lo:hi].T.astype(np.float64, copy=False)
         results.append(
             EStepResult(
-                responsibilities=buf[: m.n_components, lo:hi].T,
-                gradient=gradient_full[lo:hi],
+                gradient=gradient[lo:hi],
+                resp_sum=stats[:, 0],
+                weighted_sq=stats[:, 1],
             )
         )
     return results
 
 
-def _normalize_components(buf: np.ndarray, ws: Workspace) -> None:
-    """In-place softmax of ``buf`` over the component axis (axis 0).
-
-    ``r = exp(a - amax) / sum_k exp(a - amax)`` — one ``exp`` and one
-    division instead of the textbook second ``exp`` of
-    ``a - logsumexp(a)``; agreement with the exact kernel is at the
-    few-ulp level (asserted by the fusion tests).
-    """
-    m_dim = buf.shape[1]
-    dtype = buf.dtype
-    amax = ws.get("amax", (m_dim,), dtype)
-    buf.max(axis=0, out=amax)
-    buf -= amax[None, :]
-    np.exp(buf, out=buf)
-    norm = ws.get("norm", (m_dim,), dtype)
-    buf.sum(axis=0, out=norm)
-    buf /= norm[None, :]
-
-
-def _fast_gradient(
-    resp_t: np.ndarray, lam: np.ndarray, flat: np.ndarray, ws: Workspace
-) -> np.ndarray:
-    """``g_reg = (sum_k r_k lambda_k) * w`` from (K, M) responsibilities.
-
-    Always float64 and freshly allocated — the caller caches it across
-    iterations under the lazy schedule.
-    """
-    precision = ws.get("precision", (flat.size,), resp_t.dtype)
-    np.matmul(lam, resp_t, out=precision)
-    return precision * flat
-
-
-# ----------------------------------------------------------------------
-# Trainer-facing driver
-# ----------------------------------------------------------------------
 def stacked_prepare(
     parameters: Sequence[Any],
     iteration: int,
@@ -428,45 +216,30 @@ def stacked_prepare(
 ) -> int:
     """Run the E-step phase for every regularized parameter at once.
 
-    Drop-in replacement for the trainer's per-parameter
-    ``regularizer.prepare(value, iteration)`` loop: fusable
-    GM regularizers (``fused=True``, exactly
-    :class:`~repro.core.gm_regularizer.GMRegularizer`) that are due this
-    iteration are batched into one :func:`stacked_estep` call per kernel
-    configuration and receive their results through
-    ``adopt_estep``; everything else falls back to its own
-    ``prepare``.  Returns the number of regularizers served by the
-    stacked pass.
+    The trainers' E-step: every
+    :class:`~repro.core.gm_regularizer.GMRegularizer` whose E-step is
+    due this iteration (``estep_due``) joins one :func:`stacked_estep`
+    call and receives its layer's result through ``adopt_estep``; any
+    other regularizer runs its own ``prepare``.  Returns the number of
+    regularizers the kernel served.
     """
     from .gm_regularizer import GMRegularizer
 
-    groups: Dict[Tuple[str, str], List[Any]] = {}
+    due: List[Any] = []
     for param in parameters:
         reg = param.regularizer
         if reg is None:
             continue
-        if type(reg) is GMRegularizer and reg.fused and reg.estep_due(
-            iteration
-        ):
-            key = (reg.kernel, reg.compute_dtype.name)
-            groups.setdefault(key, []).append(param)
+        if isinstance(reg, GMRegularizer):
+            if reg.estep_due(iteration):
+                due.append(param)
         else:
             reg.prepare(param.value, iteration)
-
-    stacked = 0
-    for (kernel, dtype_name), members in groups.items():
-        if len(members) == 1:
-            param = members[0]
-            param.regularizer.prepare(param.value, iteration)
-            continue
-        results = stacked_estep(
-            [p.regularizer.mixture for p in members],
-            [p.value for p in members],
-            kernel=kernel,
-            compute_dtype=np.dtype(dtype_name),
-            workspace=workspace,
-        )
-        for param, result in zip(members, results):
-            param.regularizer.adopt_estep(param.value, iteration, result)
-        stacked += len(members)
-    return stacked
+    results = stacked_estep(
+        [p.regularizer.mixture for p in due],
+        [p.value for p in due],
+        workspace=workspace,
+    )
+    for param, result in zip(due, results):
+        param.regularizer.adopt_estep(iteration, result)
+    return len(due)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -168,32 +167,6 @@ class GaussianMixture:
         weighted = self.component_log_pdf(w) + self._log_pi[None, :]
         log_norm = _logsumexp(weighted, axis=1)
         return np.exp(weighted - log_norm[:, None])
-
-    def estep(
-        self,
-        w: np.ndarray,
-        kernel: str = "exact",
-        compute_dtype: Any = np.float64,
-        workspace: Any = None,
-    ) -> Any:
-        """Fused E-step: responsibilities and ``g_reg`` in one evaluation.
-
-        Convenience front-end to :func:`repro.core.fusion.fused_estep` —
-        the per-component log-densities are evaluated once and shared
-        between Equation (9) and Equation (10)'s second term.  Returns
-        an :class:`~repro.core.fusion.EStepResult`; with the default
-        ``kernel="exact"`` the responsibilities are bit-identical to
-        :meth:`responsibilities`.
-        """
-        from .fusion import fused_estep
-
-        return fused_estep(
-            self,
-            np.asarray(w, dtype=np.float64).reshape(-1),
-            kernel=kernel,
-            compute_dtype=np.dtype(compute_dtype),
-            workspace=workspace,
-        )
 
     # ------------------------------------------------------------------
     # Sampling and summaries

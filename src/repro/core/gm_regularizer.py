@@ -16,33 +16,22 @@ The three key functions named in Section IV of the paper are exposed
 verbatim (PEP 8-cased): :meth:`cal_responsibility`,
 :meth:`calc_reg_grad` and :meth:`upt_gm_param`.
 
-**Fused hot path.**  Equations (9) and (10) share the per-component
-log-densities, and the M-step consumes the very responsibilities the
-E-step just produced.  With ``fused=True`` (the default) the
-regularizer evaluates the densities **once** per due iteration through
-:mod:`repro.core.fusion` and reuses the responsibility matrix for both
-the cached ``g_reg`` and the next due M-step; the legacy double
-evaluation is preserved under ``fused=False`` as the benchmark
-baseline.  The default ``kernel="exact"`` reproduces the unfused
-arithmetic bit-for-bit; ``kernel="fast"`` opts into the single-``exp``
-buffered kernel (optionally float32) measured by
-``benchmarks/bench_hotpath_fusion.py``.
+**One E-step kernel.**  Equations (9) and (10) share the per-component
+densities, and the M-step needs only two per-component sums of the
+responsibilities.  The E-step therefore runs
+:func:`~repro.core.fusion.stacked_estep`, which returns ``g_reg`` and
+the M-step statistics ``S0``/``S1`` from one density evaluation; the
+M-step of the same iteration runs on those statistics.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .em import (
-    RegularizerEMState,
-    em_step,
-    em_step_from_stats,
-    gm_loss_terms,
-    suffstats_from_responsibilities,
-)
-from .fusion import KERNELS, EStepResult, Workspace, fused_estep
+from .em import RegularizerEMState, em_step_from_stats, gm_loss_terms
+from .fusion import EStepResult, Workspace, stacked_estep
 from .gaussian_mixture import GaussianMixture
 from .hyperparams import GMHyperParams
 from .initialization import base_precision_from_weight_init, initialize_mixture
@@ -79,23 +68,6 @@ class GMRegularizer(Regularizer):
         Whether components whose precisions converge to the same value
         are merged — the mechanism by which K=4 collapses to the 1-2
         components reported in Tables IV/V (disable for ablation).
-    fused:
-        When True (default) the E-step densities are evaluated once per
-        due iteration and the responsibility matrix is shared between
-        ``g_reg`` and the next due M-step.  ``False`` restores the
-        legacy double evaluation (the benchmark baseline); the training
-        trajectory is bit-identical either way under the default
-        ``kernel="exact"``.
-    kernel:
-        ``"exact"`` (default, bit-identical to unfused) or ``"fast"``
-        (single-``exp`` buffered kernel; see :mod:`repro.core.fusion`).
-    compute_dtype:
-        Dtype of the fast kernel's density evaluation — ``np.float64``
-        (default) or ``np.float32`` for the reduced-precision fast path.
-    accumulate_dtype:
-        Dtype in which M-step sufficient statistics are accumulated when
-        reusing fused responsibilities; float64 by default so float32
-        responsibilities still produce float64-quality GM updates.
 
     Examples
     --------
@@ -116,24 +88,9 @@ class GMRegularizer(Regularizer):
         schedule: Optional[LazyUpdateSchedule] = None,
         prune_components: bool = True,
         merge_components: bool = True,
-        fused: bool = True,
-        kernel: str = "exact",
-        compute_dtype: Any = np.float64,
-        accumulate_dtype: Any = np.float64,
     ) -> None:
         if n_dimensions < 1:
             raise ValueError(f"n_dimensions must be >= 1, got {n_dimensions}")
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-        self.fused = bool(fused)
-        self.kernel = kernel
-        self.compute_dtype = np.dtype(compute_dtype)
-        self.accumulate_dtype = np.dtype(accumulate_dtype)
-        if kernel == "exact" and self.compute_dtype != np.dtype(np.float64):
-            raise ValueError(
-                "the exact kernel is float64-only; use kernel='fast' for "
-                f"compute_dtype={self.compute_dtype}"
-            )
         self.n_dimensions = int(n_dimensions)
         self.hyperparams = hyperparams or GMHyperParams()
         self.schedule = schedule or LazyUpdateSchedule()
@@ -154,20 +111,12 @@ class GMRegularizer(Regularizer):
         self._cached_reg_grad: Optional[np.ndarray] = None
         self._n_estep = 0
         self._n_mstep = 0
-        # One (and only one) density evaluation per fused iteration: the
-        # fix for the double-count is observable through this counter.
         self._n_density_evals = 0
         self._workspace = Workspace()
-        # E-step stash: the responsibility matrix from the last fused
-        # E-step, valid for M-step reuse only while the stamped
-        # iteration, mixture object and parameter array are all
-        # unchanged (Algorithm 2 runs E-step and M-step on the same w
-        # before SGD mutates it).
-        self._estep_resp: Optional[np.ndarray] = None
-        self._estep_iteration: Optional[int] = None
-        self._estep_mixture: Optional[GaussianMixture] = None
-        self._estep_w_ref: Optional[np.ndarray] = None
-        self._pending_resp: Optional[np.ndarray] = None
+        # (iteration, S0, S1) of the last E-step.  Algorithm 2 runs the
+        # E-step and the M-step of one iteration on the same w, so the
+        # M-step of that iteration reuses them.
+        self._estep_stats: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Key functions of the tool (Section IV naming)
@@ -184,67 +133,19 @@ class GMRegularizer(Regularizer):
         small parameters strong (high-precision component) regularization
         and large parameters weak regularization.
         """
-        flat = np.asarray(w, dtype=np.float64).reshape(-1)
-        if flat.size != self.n_dimensions:
-            raise ValueError(
-                f"expected {self.n_dimensions} parameter dimensions, got {flat.size}"
-            )
-        if self.fused:
-            result = fused_estep(
-                self.mixture,
-                flat,
-                kernel=self.kernel,
-                compute_dtype=self.compute_dtype,
-                workspace=self._workspace,
-            )
-            self._stash_estep(result.responsibilities, w)
-            grad = result.gradient
-        else:
-            resp = self.mixture.responsibilities(flat)
-            effective_precision = resp @ self.mixture.lam
-            grad = effective_precision * flat
-        self._n_estep += 1
         self._n_density_evals += 1
-        return grad.reshape(np.asarray(w).shape)
+        return self._estep(w).gradient.reshape(np.shape(w))
 
     def upt_gm_param(self, w: np.ndarray) -> None:
         """``uptGMParam()``: one M-step on ``pi``/``lambda`` (Eqs. (13),(17)).
 
-        When :meth:`update` has staged fresh fused responsibilities for
-        this exact ``(mixture, w, iteration)`` the M-step is evaluated
-        on them directly (no second density evaluation — the fusion);
-        otherwise it performs the full E+M step of
-        :func:`~repro.core.em.em_step`.
+        Evaluates the E-step statistics of ``w`` under the current
+        mixture and applies the M-step to them.  :meth:`update` skips
+        the evaluation when this iteration's E-step already has them.
         """
-        flat = np.asarray(w, dtype=np.float64).reshape(-1)
-        alpha = self._alpha[: self.mixture.n_components]
-        resp = self._take_pending_responsibilities()
-        if resp is not None and resp.shape[1] == self.mixture.n_components:
-            resp_sum, weighted_sq = suffstats_from_responsibilities(
-                resp, flat, accumulate_dtype=self.accumulate_dtype
-            )
-            self.mixture = em_step_from_stats(
-                self.mixture,
-                resp_sum,
-                weighted_sq,
-                alpha=alpha,
-                a=self._a,
-                b=self._b,
-                prune=self.prune_components,
-                merge=self.merge_components,
-            )
-        else:
-            self._n_density_evals += 1
-            self.mixture = em_step(
-                self.mixture,
-                flat,
-                alpha=alpha,
-                a=self._a,
-                b=self._b,
-                prune=self.prune_components,
-                merge=self.merge_components,
-            )
-        self._n_mstep += 1
+        self._n_density_evals += 1
+        result = self._estep(w)
+        self._mstep(result.resp_sum, result.weighted_sq)
 
     # ------------------------------------------------------------------
     # Regularizer interface used by the trainers
@@ -261,72 +162,45 @@ class GMRegularizer(Regularizer):
     def prepare(self, w: np.ndarray, iteration: int) -> None:
         """E-step of Algorithm 2 (lines 4-7), honouring the lazy schedule.
 
-        Refreshes the cached ``g_reg`` from the current parameters when
-        the schedule says this iteration performs the E-step; otherwise
-        the stale cache is kept and reused by :meth:`gradient`.
+        Refreshes the cached ``g_reg`` and the M-step statistics from
+        the current parameters when the schedule says this iteration
+        performs the E-step; otherwise the stale cache is kept and
+        reused by :meth:`gradient`.  Trainers run the E-step of all
+        their layers at once through
+        :func:`repro.core.fusion.stacked_prepare` instead.
         """
         if self.estep_due(iteration):
-            grad = self.calc_reg_grad(w)
-            self._cached_reg_grad = np.asarray(grad, dtype=np.float64).reshape(-1)
-            self._estep_iteration = iteration
+            self.adopt_estep(iteration, self._estep(w))
 
     def estep_due(self, iteration: int) -> bool:
         """Whether :meth:`prepare` would refresh ``g_reg`` this iteration.
 
         True when there is no cached gradient yet or the lazy schedule
-        marks this iteration for an E-step.  The trainer's stacked pass
-        (:func:`repro.core.fusion.stacked_prepare`) uses this to decide
-        which regularizers join the batched kernel invocation.
+        marks this iteration for an E-step.
         """
         return self._cached_reg_grad is None or (
-            self.schedule.should_update_reg_gradient(iteration, self._epoch)
+            self.schedule.should_update_reg_gradient(
+                iteration, self._schedule_epoch(iteration)
+            )
         )
 
-    def adopt_estep(
-        self, w: np.ndarray, iteration: int, result: EStepResult
-    ) -> None:
-        """Install an externally computed fused E-step result.
+    def adopt_estep(self, iteration: int, result: EStepResult) -> None:
+        """Install this iteration's E-step result.
 
-        The stacked multi-layer pass evaluates one kernel for many
-        regularizers and hands each its slice here; the effect (cache,
-        stash, counters) is identical to :meth:`prepare` performing the
-        E-step itself on a due iteration.
+        Caches ``g_reg`` for :meth:`gradient` and keeps ``S0``/``S1``
+        for the M-step of the same iteration.  :meth:`prepare` and the
+        trainers' :func:`~repro.core.fusion.stacked_prepare` both end
+        here.
         """
-        flat_size = int(np.asarray(w).size)
-        if flat_size != self.n_dimensions:
-            raise ValueError(
-                f"expected {self.n_dimensions} parameter dimensions, "
-                f"got {flat_size}"
-            )
         if result.gradient.shape != (self.n_dimensions,):
             raise ValueError(
                 f"gradient has shape {result.gradient.shape}, expected "
                 f"({self.n_dimensions},)"
             )
         self._cached_reg_grad = result.gradient
-        self._stash_estep(result.responsibilities, w)
-        self._estep_iteration = iteration
+        self._estep_stats = (iteration, result.resp_sum, result.weighted_sq)
         self._n_estep += 1
         self._n_density_evals += 1
-
-    def _stash_estep(self, resp: np.ndarray, w: np.ndarray) -> None:
-        """Record the responsibility matrix for same-iteration M-step reuse.
-
-        The stash may be a view into the fused kernel's workspace buffer
-        — it stays valid exactly as long as the freshness conditions
-        checked by :meth:`update` hold (next E-step overwrites it, next
-        M-step replaces the mixture object).
-        """
-        self._estep_resp = resp
-        self._estep_iteration = None
-        self._estep_mixture = self.mixture
-        self._estep_w_ref = w
-
-    def _take_pending_responsibilities(self) -> Optional[np.ndarray]:
-        """Consume responsibilities staged by :meth:`update` (single use)."""
-        resp = self._pending_resp
-        self._pending_resp = None
-        return resp
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         """``g_reg`` — the cached value from the last E-step.
@@ -345,26 +219,51 @@ class GMRegularizer(Regularizer):
     def update(self, w: np.ndarray, iteration: int) -> None:
         """M-step of Algorithm 2 (lines 9-11), honouring the lazy schedule.
 
-        If this iteration's E-step stashed responsibilities for the same
-        mixture and the same parameter array, the M-step reuses them
-        instead of re-evaluating the densities — the fused hot path.
-        Any mismatch (a lazy schedule with ``Im != Ig``, a restored
-        snapshot, a different array) falls back to the full E+M step.
+        Runs on the ``S0``/``S1`` of this iteration's E-step.  When the
+        lazy schedule (``Im != Ig``) left this iteration without an
+        E-step, the kernel runs once here for the statistics.
         """
-        if self.schedule.should_update_gm(iteration, self._epoch):
-            if (
-                self.fused
-                and self._estep_resp is not None
-                and self._estep_iteration == iteration
-                and self._estep_mixture is self.mixture
-                and self._estep_w_ref is w
-            ):
-                self._pending_resp = self._estep_resp
+        if not self.schedule.should_update_gm(
+            iteration, self._schedule_epoch(iteration)
+        ):
+            return
+        stats, self._estep_stats = self._estep_stats, None
+        if stats is not None and stats[0] == iteration:
+            self._mstep(stats[1], stats[2])
+        else:
             self.upt_gm_param(w)
 
     def epoch_end(self, epoch: int) -> None:
         """Advance the epoch counter used by the lazy schedule."""
         self._epoch = epoch + 1
+
+    def _schedule_epoch(self, iteration: int) -> int:
+        """The epoch the lazy schedule sees at ``iteration``."""
+        del iteration
+        return self._epoch
+
+    def _estep(self, w: np.ndarray) -> EStepResult:
+        """One kernel evaluation over ``w`` (a stack of one)."""
+        size = int(np.asarray(w).size)
+        if size != self.n_dimensions:
+            raise ValueError(
+                f"expected {self.n_dimensions} parameter dimensions, got {size}"
+            )
+        return stacked_estep([self.mixture], [w], workspace=self._workspace)[0]
+
+    def _mstep(self, resp_sum: np.ndarray, weighted_sq: np.ndarray) -> None:
+        """Equations (13)/(17) on E-step statistics of the current mixture."""
+        self.mixture, _, _ = em_step_from_stats(
+            self.mixture,
+            resp_sum,
+            weighted_sq,
+            alpha=self._alpha[: self.mixture.n_components],
+            a=self._a,
+            b=self._b,
+            prune=self.prune_components,
+            merge=self.merge_components,
+        )
+        self._n_mstep += 1
 
     def telemetry_state(self) -> Dict[str, Any]:
         """Current mixture state for telemetry (Fig. 3 observables).
@@ -380,8 +279,6 @@ class GMRegularizer(Regularizer):
             "estep_count": self._n_estep,
             "mstep_count": self._n_mstep,
             "density_evals": self._n_density_evals,
-            "fused": self.fused,
-            "kernel": self.kernel,
         }
 
     # ------------------------------------------------------------------
@@ -407,8 +304,8 @@ class GMRegularizer(Regularizer):
     def load_em_state(self, state: RegularizerEMState) -> None:
         """Restore a snapshot taken by :meth:`em_state`.
 
-        The cached ``g_reg`` is invalidated so the next
-        :meth:`prepare` recomputes it under the restored mixture.
+        The cached ``g_reg`` and E-step statistics are invalidated so the
+        next :meth:`prepare` recomputes them under the restored mixture.
         """
         self.mixture = GaussianMixture(
             pi=np.asarray(state.pi, dtype=np.float64),
@@ -417,11 +314,7 @@ class GMRegularizer(Regularizer):
         self._n_estep = int(state.estep_count)
         self._n_mstep = int(state.mstep_count)
         self._cached_reg_grad = None
-        self._estep_resp = None
-        self._estep_iteration = None
-        self._estep_mixture = None
-        self._estep_w_ref = None
-        self._pending_resp = None
+        self._estep_stats = None
 
     # ------------------------------------------------------------------
     # Introspection helpers used by the experiments and tests
@@ -438,7 +331,7 @@ class GMRegularizer(Regularizer):
 
     @property
     def estep_count(self) -> int:
-        """Number of E-step (responsibility + ``g_reg``) evaluations so far."""
+        """Number of E-step refreshes of the cached ``g_reg`` so far."""
         return self._n_estep
 
     @property
@@ -450,10 +343,8 @@ class GMRegularizer(Regularizer):
     def density_evals(self) -> int:
         """Number of per-component density evaluations over ``w`` so far.
 
-        The observable fixed by the fusion: a fused iteration running
-        both an E-step and an M-step evaluates the densities once;
-        the legacy (``fused=False``) path evaluates them once per
-        sub-phase, i.e. twice.
+        One per E-step refresh; an M-step adds one only when its
+        iteration ran no E-step (a lazy schedule with ``Im != Ig``).
         """
         return self._n_density_evals
 

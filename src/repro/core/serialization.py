@@ -52,10 +52,6 @@ def gm_regularizer_to_dict(reg: GMRegularizer) -> Dict[str, Any]:
         "estep_count": reg.estep_count,
         "mstep_count": reg.mstep_count,
         "density_evals": reg.density_evals,
-        "fused": reg.fused,
-        "kernel": reg.kernel,
-        "compute_dtype": reg.compute_dtype.name,
-        "accumulate_dtype": reg.accumulate_dtype.name,
         "cached_reg_grad": (
             None if reg._cached_reg_grad is None
             else reg._cached_reg_grad.tolist()
@@ -64,7 +60,13 @@ def gm_regularizer_to_dict(reg: GMRegularizer) -> Dict[str, Any]:
 
 
 def gm_regularizer_from_dict(state: Dict[str, Any]) -> GMRegularizer:
-    """Reconstruct a regularizer from :func:`gm_regularizer_to_dict`."""
+    """Reconstruct a regularizer from :func:`gm_regularizer_to_dict`.
+
+    Keys this version no longer writes are ignored: checkpoints from
+    before the single E-step kernel carry ``fused``, ``kernel``,
+    ``compute_dtype`` and ``accumulate_dtype``, which selected between
+    E-step paths that no longer exist.
+    """
     version = state.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(
@@ -80,12 +82,6 @@ def gm_regularizer_from_dict(state: Dict[str, Any]) -> GMRegularizer:
         schedule=schedule,
         prune_components=bool(state["prune_components"]),
         merge_components=bool(state["merge_components"]),
-        # Checkpoints written before the fused hot path restore to the
-        # (bit-identical) fused exact configuration.
-        fused=bool(state.get("fused", True)),
-        kernel=state.get("kernel", "exact"),
-        compute_dtype=np.dtype(state.get("compute_dtype", "float64")),
-        accumulate_dtype=np.dtype(state.get("accumulate_dtype", "float64")),
     )
     reg.mixture = GaussianMixture(
         pi=np.asarray(state["mixture"]["pi"]),

@@ -201,7 +201,6 @@ def _gm_factory(
     alpha_exponent: float,
     init_method: str,
     schedule: Optional[LazyUpdateSchedule],
-    reg_kwargs: Optional[Dict] = None,
 ):
     """One GM regularizer per layer, calibrated to its init std."""
     def factory(name: str, m: int, weight_init_std: float) -> Regularizer:
@@ -213,7 +212,6 @@ def _gm_factory(
             hyperparams=hp,
             init_method=init_method,
             schedule=schedule,
-            **(reg_kwargs or {}),
         )
     return factory
 
@@ -227,8 +225,6 @@ def train_deep(
     schedule: Optional[LazyUpdateSchedule] = None,
     data: Optional[ImageDataset] = None,
     callbacks=None,
-    reg_kwargs: Optional[Dict] = None,
-    trainer_kwargs: Optional[Dict] = None,
     model_dtype=None,
 ) -> DeepResult:
     """Train one model under one regularization mode.
@@ -245,18 +241,11 @@ def train_deep(
     callbacks:
         Optional :class:`~repro.telemetry.events.Callback` observers
         forwarded to :meth:`Trainer.fit`.
-    reg_kwargs:
-        Extra :class:`~repro.core.GMRegularizer` keyword arguments — the
-        hot-path benchmark toggles ``fused``/``kernel``/``compute_dtype``
-        here.
-    trainer_kwargs:
-        Extra :class:`~repro.optim.Trainer` keyword arguments (e.g.
-        ``stacked_em=False`` for the unfused baseline).
     model_dtype:
         Optional dtype the network is cast to after construction
-        (``np.float32`` for the reduced-precision fast path); parameters
-        are initialized in float64 first so both precisions start from
-        identical values.
+        (``np.float32`` for the reduced-precision path; the GM E-step
+        follows the parameters' dtype); parameters are initialized in
+        float64 first so both precisions start from identical values.
     """
     if method not in ("none", "l2", "gm"):
         raise ValueError(f"method must be none/l2/gm, got {method!r}")
@@ -271,8 +260,7 @@ def train_deep(
     elif method == "gm":
         model.attach_regularizers(
             _gm_factory(
-                config, gamma, alpha_exponent, init_method, schedule,
-                reg_kwargs,
+                config, gamma, alpha_exponent, init_method, schedule
             )
         )
     trainer = Trainer(
@@ -280,7 +268,6 @@ def train_deep(
         lr=config.effective_lr,
         momentum=config.momentum,
         batch_size=config.batch_size,
-        **(trainer_kwargs or {}),
     )
     augment = make_augmenter(pad=max(1, config.image_size // 8)) \
         if config.effective_augment else None

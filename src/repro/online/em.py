@@ -3,11 +3,11 @@
 The batch M-step (Equations (13)/(17)) needs only two per-component
 sums over the weight vector — the responsibility mass
 ``S0_k = sum_m r_k(w_m)`` and the weighted square sum
-``S1_k = sum_m r_k(w_m) w_m^2``.  :mod:`repro.core.em` already factors
-the M-step through exactly those statistics
-(:func:`~repro.core.em.precisions_from_stats` /
-:func:`~repro.core.em.mixing_from_stats`), so the *online* variant only
-has to change how the statistics are produced: instead of recomputing
+``S1_k = sum_m r_k(w_m) w_m^2``.  The training E-step kernel returns
+exactly those statistics and the batch M-step
+(:func:`~repro.core.em.em_step_from_stats`) consumes them, so the
+*online* variant only has to change which statistics the M-step sees:
+instead of recomputing
 them from scratch each step it maintains an exponentially decayed
 running summary
 
@@ -33,17 +33,12 @@ intervals take over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..core.em import (
-    RegularizerEMState,
-    merge_plan,
-    mixing_from_stats,
-    precisions_from_stats,
-    suffstats_from_responsibilities,
-)
+from ..core.em import RegularizerEMState, em_step_from_stats
+from ..core.fusion import stacked_estep
 from ..core.gaussian_mixture import GaussianMixture
 from ..core.gm_regularizer import GMRegularizer
 from ..core.hyperparams import GMHyperParams
@@ -86,96 +81,35 @@ def online_em_step(
     prune: bool = True,
     merge: bool = True,
     merge_rel_tol: float = 0.02,
-    responsibilities: Optional[np.ndarray] = None,
 ) -> OnlineEMState:
     """One online E+M step on the GM parameters for the current ``w``.
 
-    Mirrors :func:`repro.core.em.em_step` exactly — same E-step, same
-    stats-based M-step, same prune/merge post-processing — except the
-    M-step consumes the decayed running statistics instead of this
-    step's raw sums.  Pruned components drop their statistics rows;
-    merged components (via :func:`~repro.core.em.merge_plan`) *sum*
-    their statistics, so the summary stays aligned with the mixture as
-    K collapses.
-
-    ``responsibilities`` lets the fused hot path hand over the
-    Equation (9) matrix already computed for this exact ``(mixture,
-    w)`` pair, skipping the E-step's second density evaluation; with
-    float64 responsibilities the result is bit-identical to computing
-    them here.
+    The E-step is the training kernel
+    (:func:`~repro.core.fusion.stacked_estep`); the M-step is the batch
+    :func:`~repro.core.em.em_step_from_stats`, run on the decayed
+    running statistics instead of this step's raw sums.  It returns the
+    statistics pruned and merged along with the mixture, so the summary
+    stays aligned with the components as K collapses.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    mixture = state.mixture
-    resp = (
-        responsibilities
-        if responsibilities is not None
-        else mixture.responsibilities(w)
+    fresh = stacked_estep([state.mixture], [w])[0]
+    mixture, resp_sum, weighted_sq = em_step_from_stats(
+        state.mixture,
+        _blend(state.resp_sum, fresh.resp_sum, rho),
+        _blend(state.weighted_sq, fresh.weighted_sq, rho),
+        alpha=alpha,
+        a=a,
+        b=b,
+        prune=prune,
+        merge=merge,
+        merge_rel_tol=merge_rel_tol,
     )
-    if resp.shape != (w.size, mixture.n_components):
-        raise ValueError(
-            f"responsibilities have shape {resp.shape}, expected "
-            f"({w.size}, {mixture.n_components})"
-        )
-    s0, s1 = suffstats_from_responsibilities(resp, w)
-    resp_sum = _blend(state.resp_sum, s0, rho)
-    weighted_sq = _blend(state.weighted_sq, s1, rho)
-
-    alpha = np.asarray(alpha, dtype=np.float64).reshape(-1)
-    lam = precisions_from_stats(resp_sum, weighted_sq, a=a, b=b)
-    pi = mixing_from_stats(resp_sum, alpha=alpha, prune=prune)
-
-    keep = pi > 0.0
-    if not np.all(keep) and keep.sum() >= 1:
-        pi = pi[keep] / pi[keep].sum()
-        lam = lam[keep]
-        resp_sum = resp_sum[keep]
-        weighted_sq = weighted_sq[keep]
-
-    if merge and pi.size > 1:
-        groups = merge_plan(pi, lam, rel_tol=merge_rel_tol)
-        if len(groups) < pi.size:
-            pi, lam, resp_sum, weighted_sq = _apply_merge(
-                groups, pi, lam, resp_sum, weighted_sq
-            )
-
     return OnlineEMState(
-        mixture=GaussianMixture(pi=pi, lam=lam),
+        mixture=mixture,
         resp_sum=resp_sum,
         weighted_sq=weighted_sq,
         updates=state.updates + 1,
-    )
-
-
-def _apply_merge(
-    groups: List[List[int]],
-    pi: np.ndarray,
-    lam: np.ndarray,
-    resp_sum: np.ndarray,
-    weighted_sq: np.ndarray,
-) -> tuple:
-    """Collapse each merge-plan group, summing its statistics rows.
-
-    The merged mixture parameters use the same arithmetic as
-    :func:`~repro.core.em.merge_similar_components` (summed ``pi``,
-    pi-weighted mean ``lambda``) so batch and online paths agree; the
-    statistics of a merged component are the plain sums of its members'
-    (a sum of sums is the merged component's sufficient statistic).
-    """
-    new_pi, new_lam, new_s0, new_s1 = [], [], [], []
-    for group in groups:
-        idx = np.asarray(group, dtype=np.intp)
-        total = float(pi[idx].sum())
-        new_pi.append(total)
-        new_lam.append(float((pi[idx] * lam[idx]).sum()) / max(total, 1e-300))
-        new_s0.append(float(resp_sum[idx].sum()))
-        new_s1.append(float(weighted_sq[idx].sum()))
-    return (
-        np.asarray(new_pi),
-        np.asarray(new_lam),
-        np.asarray(new_s0),
-        np.asarray(new_s1),
     )
 
 
@@ -185,10 +119,11 @@ class DecayedGMRegularizer(GMRegularizer):
     Drop-in for the batch regularizer inside any training loop, but
     built for streams:
 
-    - :meth:`upt_gm_param` applies :func:`online_em_step` — the running
-      ``S0``/``S1`` summary carries memory of past weight snapshots with
-      exponential decay ``rho``, so one noisy mini-batch cannot yank the
-      prior around, yet the prior still tracks drift.
+    - The M-step blends each E-step's ``S0``/``S1`` into a running
+      summary, exactly as :func:`online_em_step` does: it carries memory
+      of past weight snapshots with exponential decay ``rho``, so one
+      noisy mini-batch cannot yank the prior around, yet the prior still
+      tracks drift.
     - Warm-up gating reuses the lazy schedule: streaming steps below
       ``warmup_steps`` are mapped to the schedule's eager-epoch regime
       (refresh every step); afterwards the lazy ``Im``/``Ig`` intervals
@@ -209,8 +144,6 @@ class DecayedGMRegularizer(GMRegularizer):
         merge_components: bool = True,
         rho: float = 0.95,
         warmup_steps: int = 0,
-        fused: bool = True,
-        kernel: str = "exact",
     ) -> None:
         super().__init__(
             n_dimensions,
@@ -220,8 +153,6 @@ class DecayedGMRegularizer(GMRegularizer):
             schedule=schedule,
             prune_components=prune_components,
             merge_components=merge_components,
-            fused=fused,
-            kernel=kernel,
         )
         if not 0.0 < rho < 1.0:
             raise ValueError(f"rho must be in (0, 1), got {rho}")
@@ -241,7 +172,7 @@ class DecayedGMRegularizer(GMRegularizer):
     # ------------------------------------------------------------------
     # Warm-up gating through the lazy schedule
     # ------------------------------------------------------------------
-    def _epoch_for(self, iteration: int) -> int:
+    def _schedule_epoch(self, iteration: int) -> int:
         """Map a streaming step onto the schedule's epoch axis.
 
         Steps inside the warm-up window behave like epoch 0 (eager:
@@ -252,58 +183,22 @@ class DecayedGMRegularizer(GMRegularizer):
             return 0
         return self.schedule.eager_epochs
 
-    def prepare(self, w: np.ndarray, iteration: int) -> None:
-        """E-step with the warm-up window standing in for eager epochs."""
-        self._epoch = self._epoch_for(iteration)
-        super().prepare(w, iteration)
-
-    def update(self, w: np.ndarray, iteration: int) -> None:
-        """M-step with the warm-up window standing in for eager epochs."""
-        self._epoch = self._epoch_for(iteration)
-        super().update(w, iteration)
-
     # ------------------------------------------------------------------
     # The decayed M-step
     # ------------------------------------------------------------------
-    def upt_gm_param(self, w: np.ndarray) -> None:
-        """``uptGMParam()`` on the decayed summary instead of raw sums.
-
-        Fresh fused responsibilities staged by ``update()`` (same
-        mixture, same ``w``, same iteration) feed the decayed statistics
-        directly — the same single-density-evaluation fusion as the
-        batch regularizer, extended to the online path.
-        """
-        flat = np.asarray(w, dtype=np.float64).reshape(-1)
-        alpha = self._alpha[: self.mixture.n_components]
-        resp = self._take_pending_responsibilities()
-        if resp is not None and resp.shape[1] != self.mixture.n_components:
-            resp = None
-        if resp is not None and resp.dtype != np.float64:
-            # The decayed recursion is float64 end-to-end; promote
-            # float32 fast-kernel responsibilities before blending.
-            resp = resp.astype(np.float64)
-        if resp is None:
-            self._n_density_evals += 1
-        state = online_em_step(
-            OnlineEMState(
-                mixture=self.mixture,
-                resp_sum=self._resp_sum,
-                weighted_sq=self._weighted_sq,
-                updates=self._em_updates,
-            ),
-            flat,
-            alpha=alpha,
+    def _mstep(self, resp_sum: np.ndarray, weighted_sq: np.ndarray) -> None:
+        """``uptGMParam()`` on the decayed summary instead of raw sums."""
+        self.mixture, self._resp_sum, self._weighted_sq = em_step_from_stats(
+            self.mixture,
+            _blend(self._resp_sum, resp_sum, self.rho),
+            _blend(self._weighted_sq, weighted_sq, self.rho),
+            alpha=self._alpha[: self.mixture.n_components],
             a=self._a,
             b=self._b,
-            rho=self.rho,
             prune=self.prune_components,
             merge=self.merge_components,
-            responsibilities=resp,
         )
-        self.mixture = state.mixture
-        self._resp_sum = state.resp_sum
-        self._weighted_sq = state.weighted_sq
-        self._em_updates = state.updates
+        self._em_updates += 1
         self._n_mstep += 1
 
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from ..core.fusion import Workspace, stacked_prepare
 from ..optim.schedules import ConstantLR, LRSchedule
 from ..optim.sgd import SGD
 from ..optim.trainer import (
@@ -114,6 +115,7 @@ class OnlineTrainer:
             lr=self.schedule.lr_at(0),
             momentum=self.momentum,
         )
+        self._em_workspace = Workspace()
         self._iteration = 0
         self._samples_seen = 0
         self._loss_ewma: Optional[float] = None
@@ -166,9 +168,7 @@ class OnlineTrainer:
             it = self._iteration
             # E-step (lazy, warm-up gated): refresh cached g_reg where due.
             with timers["estep"]:
-                for param in self._params:
-                    if param.regularizer is not None:
-                        param.regularizer.prepare(param.value, it)
+                stacked_prepare(self._params, it, workspace=self._em_workspace)
             # Data-misfit gradient plus scaled regularizer gradient.
             with timers["grad"]:
                 loss, grads = self.model.loss_and_gradients(x, y)

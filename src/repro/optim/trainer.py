@@ -5,7 +5,9 @@ EM on the GM parameters.  Per mini-batch iteration the exact Algorithm 2
 ordering is followed:
 
 1. *E-step* (lazy): each adaptive regularizer refreshes its cached
-   ``g_reg`` (``Regularizer.prepare``).
+   ``g_reg``; :func:`~repro.core.fusion.stacked_prepare` serves every
+   due GM regularizer with one kernel call and runs the others'
+   ``Regularizer.prepare``.
 2. The data-misfit gradient ``g_ll`` is computed by the model and the
    regularizer gradients are added (Equation (10)).  Because the models
    report the *mean* per-sample loss while the MAP objective (Equation
@@ -251,12 +253,6 @@ class Trainer:
         phase timers and counters.  A fresh registry (sharing ``clock``)
         is created when omitted.  The registry is reset at the start of
         every :meth:`fit`.
-    stacked_em:
-        When True (default) the per-parameter E-step loop is routed
-        through :func:`repro.core.fusion.stacked_prepare`, which batches
-        every due fused GM regularizer into one stacked kernel
-        invocation per iteration (bit-identical under the default exact
-        kernel).  ``False`` keeps the plain per-parameter loop.
     """
 
     def __init__(
@@ -270,7 +266,6 @@ class Trainer:
         patience: int = 3,
         clock: Callable[[], float] = time.perf_counter,
         metrics: Optional[MetricsRegistry] = None,
-        stacked_em: bool = True,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -285,7 +280,6 @@ class Trainer:
         self.patience = int(patience)
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry(clock=clock)
-        self.stacked_em = bool(stacked_em)
         self._em_workspace = Workspace()
         self._iteration = 0
         self._reg_scale = 1.0
@@ -528,16 +522,10 @@ class Trainer:
                 else (0, 0)
                 for p in params
             ]
-        # E-step (lines 4-7): refresh cached g_reg where due.  The
-        # stacked pass fuses all due per-layer GMs into one kernel call;
-        # non-fusable regularizers fall back to their own prepare().
+        # E-step (lines 4-7): refresh cached g_reg where due, every due
+        # per-layer GM in one kernel call.
         with timers["estep"]:
-            if self.stacked_em:
-                stacked_prepare(params, it, workspace=self._em_workspace)
-            else:
-                for param in params:
-                    if param.regularizer is not None:
-                        param.regularizer.prepare(param.value, it)
+            stacked_prepare(params, it, workspace=self._em_workspace)
         # Data-misfit gradient g_ll plus regularizer gradient (Eq. (10)).
         with timers["grad"]:
             loss, grads = self.model.loss_and_gradients(xb, yb)

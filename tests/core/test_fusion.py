@@ -1,16 +1,14 @@
-"""Unit tests for the fused E-step/gradient hot path (repro.core.fusion).
+"""Unit tests for the E-step kernel (repro.core.fusion).
 
-Covers the tentpole invariants of the speed pass:
+Covers:
 
-- the exact kernel (the default) is bit-identical to the unfused
-  reference arithmetic, standalone and through a full mutating
-  regularizer trajectory, single-layer and stacked;
-- the fast kernel agrees with the reference at documented tolerances
-  (float64: few-ulp; float32: single-precision scale), for
-  responsibilities, gradient and M-step sufficient statistics;
-- the density-evaluation counter halves under fusion while
-  ``estep_count`` semantics are unchanged, and the trainer publishes
-  it as a gauge;
+- the kernel's ``g_reg``/``S0``/``S1`` agree with the reference
+  responsibilities (:meth:`GaussianMixture.responsibilities`) at
+  tolerances fixed from the dtype (float64: few-ulp; float32:
+  single-precision scale), and a regularizer trajectory agrees with a
+  ``responsibilities`` + ``em_step`` reference loop;
+- an eager iteration evaluates the densities once, and the trainer
+  publishes the count as a gauge;
 - the workspace buffer cache and the stacked trainer driver behave.
 """
 
@@ -20,12 +18,12 @@ import pytest
 from repro.core import (
     EStepResult,
     GMRegularizer,
+    L2Regularizer,
     LazyUpdateSchedule,
     Workspace,
-    fused_estep,
+    em_step,
     stacked_estep,
     stacked_prepare,
-    suffstats_from_responsibilities,
 )
 from repro.core.gaussian_mixture import GaussianMixture
 from repro.optim import Parameter
@@ -48,110 +46,81 @@ def layers(rng):
 
 
 def reference(mixture, w):
+    """``(g_reg, S0, S1)`` from the reference responsibility matrix."""
+    w = np.asarray(w, dtype=np.float64)
     resp = mixture.responsibilities(w)
-    return resp, (resp @ mixture.lam) * w
+    return (resp @ mixture.lam) * w, resp.sum(axis=0), resp.T @ (w * w)
 
 
-# ----------------------------------------------------------------------
-# Exact kernel: bit identity
-# ----------------------------------------------------------------------
-def test_exact_kernel_bit_identical_single(layers):
-    mixtures, ws = layers
-    for m, w in zip(mixtures, ws):
-        ref_resp, ref_grad = reference(m, w)
-        result = fused_estep(m, w, kernel="exact")
-        assert np.array_equal(result.responsibilities, ref_resp)
-        assert np.array_equal(result.gradient, ref_grad)
-
-
-def test_exact_kernel_bit_identical_stacked_mixed_k(layers):
-    mixtures, ws = layers
-    results = stacked_estep(mixtures, ws, kernel="exact")
+def assert_matches_reference(results, mixtures, ws, stats_rtol, grad_rtol):
     for result, m, w in zip(results, mixtures, ws):
-        ref_resp, ref_grad = reference(m, w)
-        assert np.array_equal(result.responsibilities, ref_resp)
-        assert np.array_equal(result.gradient, ref_grad)
-
-
-def test_fused_regularizer_trajectory_bit_identical(rng):
-    """Whole E/M trajectory: fused default vs legacy, same bits."""
-    w_fused = rng.normal(0, 0.1, 400)
-    w_legacy = w_fused.copy()
-    fused = GMRegularizer(n_dimensions=400, weight_init_std=0.1)
-    legacy = GMRegularizer(n_dimensions=400, weight_init_std=0.1, fused=False)
-    assert fused.fused and fused.kernel == "exact"
-    for it in range(10):
-        fused.prepare(w_fused, it)
-        legacy.prepare(w_legacy, it)
-        gf, gl = fused.gradient(w_fused), legacy.gradient(w_legacy)
-        assert np.array_equal(gf, gl)
-        fused.update(w_fused, it)
-        legacy.update(w_legacy, it)
-        assert np.array_equal(fused.pi, legacy.pi)
-        assert np.array_equal(fused.lam, legacy.lam)
-        # simulate the SGD step so each E-step sees fresh parameters
-        w_fused -= 0.05 * gf
-        w_legacy -= 0.05 * gl
+        grad, s0, s1 = reference(m, w)
+        for value in (result.gradient, result.resp_sum, result.weighted_sq):
+            assert value.dtype == np.float64
+        np.testing.assert_allclose(result.resp_sum, s0, rtol=stats_rtol)
+        np.testing.assert_allclose(result.weighted_sq, s1, rtol=stats_rtol)
+        np.testing.assert_allclose(result.gradient, grad, rtol=grad_rtol)
 
 
 # ----------------------------------------------------------------------
-# Fast kernel: documented tolerances
+# Kernel against the reference responsibilities
 # ----------------------------------------------------------------------
 def test_fast_kernel_float64_agreement(layers):
     mixtures, ws = layers
-    results = stacked_estep(mixtures, ws, kernel="fast")
-    for result, m, w in zip(results, mixtures, ws):
-        ref_resp, ref_grad = reference(m, w)
-        np.testing.assert_allclose(
-            result.responsibilities, ref_resp, rtol=0, atol=1e-13
-        )
-        np.testing.assert_allclose(result.gradient, ref_grad, rtol=1e-12)
+    results = stacked_estep(mixtures, ws)
+    assert_matches_reference(results, mixtures, ws, 1e-13, 1e-12)
 
 
 def test_fast_kernel_float32_agreement(layers):
+    """float32 parameters get a float32 evaluation, float64 results."""
     mixtures, ws = layers
-    results = stacked_estep(
-        mixtures, ws, kernel="fast", compute_dtype=np.float32
-    )
-    for result, m, w in zip(results, mixtures, ws):
-        ref_resp, ref_grad = reference(m, w)
-        assert result.responsibilities.dtype == np.float32
-        assert result.gradient.dtype == np.float64
-        np.testing.assert_allclose(
-            result.responsibilities.astype(np.float64), ref_resp,
-            rtol=0, atol=1e-5,
-        )
-        np.testing.assert_allclose(result.gradient, ref_grad, rtol=1e-4)
+    results = stacked_estep(mixtures, [w.astype(np.float32) for w in ws])
+    assert_matches_reference(results, mixtures, ws, 1e-5, 1e-4)
 
 
 def test_float32_mstep_stats_agree_with_float64(layers):
-    """Eq. 13/17 sufficient statistics from float32 responsibilities
-    (accumulated in float64) track the float64 path."""
+    """Eq. 13/17 sufficient statistics from a float32 evaluation track
+    the float64 ones."""
     mixtures, ws = layers
-    r64 = stacked_estep(mixtures, ws, kernel="fast")
-    r32 = stacked_estep(mixtures, ws, kernel="fast", compute_dtype=np.float32)
-    for a, b, w in zip(r64, r32, ws):
-        s0_64, s1_64 = suffstats_from_responsibilities(a.responsibilities, w)
-        s0_32, s1_32 = suffstats_from_responsibilities(b.responsibilities, w)
-        assert s0_32.dtype == np.float64 and s1_32.dtype == np.float64
-        np.testing.assert_allclose(s0_32, s0_64, rtol=1e-4)
-        np.testing.assert_allclose(s1_32, s1_64, rtol=1e-3)
+    r64 = stacked_estep(mixtures, ws)
+    r32 = stacked_estep(mixtures, [w.astype(np.float32) for w in ws])
+    for a, b in zip(r64, r32):
+        np.testing.assert_allclose(b.resp_sum, a.resp_sum, rtol=1e-5)
+        np.testing.assert_allclose(b.weighted_sq, a.weighted_sq, rtol=1e-5)
 
 
-def test_exact_kernel_rejects_float32():
-    m = make_mixture(4, 1, 1)
-    with pytest.raises(ValueError, match="float64-only"):
-        fused_estep(m, np.zeros(8), kernel="exact", compute_dtype=np.float32)
-
-
-def test_unknown_kernel_rejected():
-    m = make_mixture(4, 1, 1)
-    with pytest.raises(ValueError, match="kernel"):
-        fused_estep(m, np.zeros(8), kernel="fused")
+def test_regularizer_trajectory_matches_reference_loop(rng):
+    """Ten E/M iterations against a ``responsibilities`` + ``em_step``
+    reference loop on the same weights."""
+    w = rng.normal(0, 0.1, 400)
+    w_ref = w.copy()
+    reg = GMRegularizer(n_dimensions=400, weight_init_std=0.1)
+    ref = GMRegularizer(n_dimensions=400, weight_init_std=0.1)
+    mixture = ref.mixture
+    for it in range(10):
+        reg.prepare(w, it)
+        g = reg.gradient(w)
+        resp = mixture.responsibilities(w_ref)
+        g_ref = (resp @ mixture.lam) * w_ref
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12)
+        reg.update(w, it)
+        mixture = em_step(
+            mixture,
+            w_ref,
+            alpha=ref._alpha[: mixture.n_components],
+            a=ref._a,
+            b=ref._b,
+        )
+        assert reg.mixture.n_components == mixture.n_components
+        np.testing.assert_allclose(reg.pi, mixture.pi, rtol=1e-12)
+        np.testing.assert_allclose(reg.lam, mixture.lam, rtol=1e-12)
+        # simulate the SGD step so each E-step sees fresh parameters
+        w -= 0.05 * g
+        w_ref -= 0.05 * g_ref
 
 
 # ----------------------------------------------------------------------
-# Counter semantics: fused iterations evaluate densities once
+# Counter semantics: an eager iteration evaluates densities once
 # ----------------------------------------------------------------------
 def run_eager(reg, w, iterations=10, lr=0.05):
     w = w.copy()
@@ -162,23 +131,19 @@ def run_eager(reg, w, iterations=10, lr=0.05):
         w -= lr * g
 
 
-def test_density_evals_half_of_legacy(rng):
+def test_density_evals_once_per_eager_iteration(rng):
     w = rng.normal(0, 0.1, 300)
-    fused = GMRegularizer(n_dimensions=300, weight_init_std=0.1)
-    legacy = GMRegularizer(n_dimensions=300, weight_init_std=0.1, fused=False)
-    run_eager(fused, w)
-    run_eager(legacy, w)
-    # estep_count semantics unchanged: one refresh per eager iteration.
-    assert fused.estep_count == legacy.estep_count == 10
-    assert fused.mstep_count == legacy.mstep_count == 10
-    # The fusion is visible in the density-evaluation count alone.
-    assert fused.density_evals == 10
-    assert legacy.density_evals == 20
+    reg = GMRegularizer(n_dimensions=300, weight_init_std=0.1)
+    run_eager(reg, w)
+    assert reg.estep_count == 10
+    assert reg.mstep_count == 10
+    # The M-step reuses the statistics of the same iteration's E-step.
+    assert reg.density_evals == 10
 
 
 def test_density_evals_with_desynchronized_schedule(rng):
-    """With Ig != Im the M-step cannot reuse the stale E-step matrix and
-    must pay its own density evaluation."""
+    """With Ig != Im the M-step cannot reuse the stale E-step statistics
+    and must pay its own density evaluation."""
     w = rng.normal(0, 0.1, 300)
     schedule = LazyUpdateSchedule(
         model_interval=2, gm_interval=4, eager_epochs=0
@@ -191,7 +156,7 @@ def test_density_evals_with_desynchronized_schedule(rng):
         reg.prepare(w, it)
         reg.update(w, it)
     # E-steps at iterations where gm_interval divides; M-steps more
-    # often -- those fall back to a fresh em_step evaluation.
+    # often -- those fall back to a fresh kernel evaluation.
     assert reg.estep_count + reg.mstep_count >= reg.density_evals
     assert reg.density_evals > evals_when_reused
 
@@ -208,7 +173,7 @@ def test_trainer_publishes_density_evals_gauge(rng):
     trainer.fit(x, y, epochs=3, rng=rng)
     gauges = trainer.metrics.snapshot()["gauges"]
     assert gauges["em/density_evals"] == reg.density_evals
-    # Fused default: one evaluation per E-step refresh.
+    # Eager default: one evaluation per E-step refresh.
     assert reg.density_evals == reg.estep_count
 
 
@@ -220,20 +185,22 @@ def test_stacked_prepare_serves_fusable_group(rng):
         GMRegularizer(n_dimensions=n, weight_init_std=0.1)
         for n in (200, 300)
     ]
-    legacy = GMRegularizer(n_dimensions=100, weight_init_std=0.1, fused=False)
+    fixed = L2Regularizer(1.0)
     params = [
         Parameter("a", rng.normal(0, 0.1, 200), regs[0]),
         Parameter("b", rng.normal(0, 0.1, 300), regs[1]),
-        Parameter("c", rng.normal(0, 0.1, 100), legacy),
+        Parameter("c", rng.normal(0, 0.1, 100), fixed),
         Parameter("plain", rng.normal(0, 0.1, 50), None),
     ]
     served = stacked_prepare(params, iteration=0)
     assert served == 2
-    for reg, param in zip(regs + [legacy], params):
+    for reg, param in zip(regs, params):
         assert reg.estep_count == 1
+        assert reg.density_evals == 1
         assert np.array_equal(
             reg.gradient(param.value), reg._cached_reg_grad
         )
+    assert np.array_equal(fixed.gradient(params[2].value), params[2].value)
 
 
 def test_stacked_prepare_matches_per_layer_prepare(rng):
@@ -286,7 +253,8 @@ def test_workspace_zeros_clears_contents():
 
 def test_estep_result_exposes_fields(layers):
     mixtures, ws = layers
-    result = fused_estep(mixtures[0], ws[0], kernel="fast")
+    (result,) = stacked_estep(mixtures[:1], ws[:1])
     assert isinstance(result, EStepResult)
-    assert result.responsibilities.shape == (500, 4)
     assert result.gradient.shape == (500,)
+    assert result.resp_sum.shape == (4,)
+    assert result.weighted_sq.shape == (4,)

@@ -1,7 +1,8 @@
 """Unit tests for the fixed-form baseline regularizers.
 
 Every gradient is checked against a numerical derivative of the penalty
-(at points away from the L1/Huber kinks).
+(at points away from the L1/Huber kinks), and so is the GM
+regularizer's Eq. (10) ``g_reg`` with its mixture held fixed.
 """
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from repro.core import (
     ElasticNetRegularizer,
+    GMHyperParams,
+    GMRegularizer,
     HuberRegularizer,
     L1Regularizer,
     L2Regularizer,
@@ -90,6 +93,22 @@ def test_huber_gradient_numeric(w):
     # Avoid the kink at |w| = mu.
     safe = w[np.abs(np.abs(w) - 0.8) > 0.05]
     assert np.allclose(reg.gradient(safe), numeric_grad(reg, safe), atol=1e-5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("at_zero", [False, True], ids=["w", "w=0"])
+def test_gm_gradient_numeric(w, k, at_zero):
+    point = np.zeros_like(w) if at_zero else w
+    reg = GMRegularizer(
+        n_dimensions=w.size,
+        weight_init_std=1.0,
+        hyperparams=GMHyperParams(n_components=k),
+    )
+    # The E-step kernel's g_reg, differentiated with pi/lambda frozen:
+    # no M-step runs between prepare() and the penalty evaluations.
+    reg.prepare(point, iteration=0)
+    assert reg.mixture.n_components == k
+    assert np.allclose(reg.gradient(point), numeric_grad(reg, point), atol=1e-5)
 
 
 @pytest.mark.parametrize("cls", [L1Regularizer, L2Regularizer])

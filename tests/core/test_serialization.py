@@ -1,5 +1,7 @@
 """Tests for GM regularizer checkpointing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,28 @@ def test_unknown_format_version_rejected(trained_reg):
     state["format_version"] = 999
     with pytest.raises(ValueError):
         gm_regularizer_from_dict(state)
+
+
+def test_loads_checkpoint_with_retired_kernel_keys(trained_reg):
+    """A state dict written when the E-step had selectable paths (keys
+    ``fused``/``kernel``/``compute_dtype``/``accumulate_dtype``) loads,
+    and the resumed regularizer continues from its pi/lambda."""
+    reg, w = trained_reg
+    state = gm_regularizer_to_dict(reg)
+    for key in ("fused", "kernel", "compute_dtype", "accumulate_dtype"):
+        assert key not in state
+    state.update(
+        fused=True, kernel="exact", compute_dtype="float64",
+        accumulate_dtype="float64",
+    )
+    restored = gm_regularizer_from_dict(json.loads(json.dumps(state)))
+    assert np.array_equal(restored.pi, reg.pi)
+    assert np.array_equal(restored.lam, reg.lam)
+    assert np.array_equal(restored.gradient(w), reg.gradient(w))
+    # The next due E-step gives Eq. (10) under the restored mixture.
+    restored.prepare(w, 50)
+    assert restored.estep_count == reg.estep_count + 1
+    resp = reg.mixture.responsibilities(w)
+    np.testing.assert_allclose(
+        restored.gradient(w), (resp @ reg.lam) * w, rtol=1e-12
+    )

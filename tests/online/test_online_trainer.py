@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import LazyUpdateSchedule
 from repro.linear.logistic import LogisticRegression
 from repro.online import DecayedGMRegularizer, DriftStream, OnlineTrainer
 from repro.optim.trainer import Trainer
@@ -72,6 +73,43 @@ class TestPartialFit:
         assert metrics.gauge("online/loss_ewma").value is not None
         assert metrics.timer("phase/estep").count == 3
         assert metrics.timer("phase/sgd").count == 3
+
+    def test_warmup_refreshes_through_stacked_prepare(self, monkeypatch):
+        """The E-step of each streamed step runs in ``stacked_prepare``,
+        on the steps the per-layer warm-up test
+        (``test_warmup_steps_are_eager_then_lazy_intervals_apply``)
+        asserts: every warm-up step, then only the Im = Ig = 4 ticks."""
+        import repro.online.trainer as online_trainer
+
+        served = []
+        stacked_prepare = online_trainer.stacked_prepare
+
+        def recording(*args, **kwargs):
+            served.append(stacked_prepare(*args, **kwargs))
+            return served[-1]
+
+        monkeypatch.setattr(online_trainer, "stacked_prepare", recording)
+        model = make_model(
+            n_features=16,
+            rho=0.9,
+            warmup_steps=3,
+            schedule=LazyUpdateSchedule(
+                model_interval=4, gm_interval=4, eager_epochs=1
+            ),
+        )
+        reg = model.regularizer
+        trainer = OnlineTrainer(model, lr=0.1)
+        stream = DriftStream(n_features=16, batch_size=8, seed=2)
+        estep_counts, mstep_counts = [], []
+        for x, y in stream.batches(8):
+            trainer.partial_fit(x, y)
+            estep_counts.append(reg.estep_count)
+            mstep_counts.append(reg.mstep_count)
+        assert served == [1, 1, 1, 0, 1, 0, 0, 0]
+        assert estep_counts == [1, 2, 3, 3, 4, 4, 4, 4]
+        assert mstep_counts == [1, 2, 3, 3, 4, 4, 4, 4]
+        # Each M-step ran on its own step's E-step statistics.
+        assert reg.density_evals == 4
 
     def test_n_reference_validation(self):
         with pytest.raises(ValueError, match="n_reference"):
