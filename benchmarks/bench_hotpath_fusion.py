@@ -8,9 +8,10 @@ Trains the Alex-CIFAR timing configuration (the Figures 5-7 setup, run
   E-step kernel evaluates the densities in float32 too.
 
 It writes ``BENCH_hotpath.json`` with per-phase attribution (the
-``phase/estep`` … ``phase/sgd`` timer totals per mode) and checks that
-the run is the same experiment as the legacy two-evaluation path it
-replaced:
+``phase/estep`` … ``phase/sgd`` timer totals per mode), a per-layer
+table of forward and backward seconds per mode (``layers``, timed by a
+wrapper local to this bench), and checks that the run is the same
+experiment as the legacy two-evaluation path it replaced:
 
 - every float64 epoch loss is within 1e-12 of the legacy losses
   frozen below from the committed ``BENCH_hotpath.json`` of that path;
@@ -19,9 +20,14 @@ replaced:
 - one density evaluation per E-step refresh: 1440 on the full run,
   where the legacy path evaluated 2880.
 
+The float64 loss gate also certifies the conv, pool and LRN arithmetic
+(the im2col/col2im index, the LRN window sum): every forward and
+backward of the model feeds those losses.
+
 The speed of this path is measured end to end by the ``train_eager``
-workload of ``benchmarks/e2e`` (parent against change), not here: the
-legacy path this bench used to time against no longer exists.
+and ``train_lazy`` workloads of ``benchmarks/e2e`` (parent against
+change), not here: the legacy path this bench used to time against no
+longer exists.
 
 Run standalone (CI) or under pytest-benchmark like the other benches::
 
@@ -31,12 +37,13 @@ Run standalone (CI) or under pytest-benchmark like the other benches::
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
 from repro.experiments.deep import load_image_data, train_deep
 from repro.experiments.timing import timing_bench_config
-from repro.telemetry import bench_filename, bench_payload, write_bench_json
+from repro.telemetry import Callback, bench_filename, bench_payload, write_bench_json
 
 # Per-epoch training losses of the legacy path (two density evaluations
 # per iteration, reference arithmetic) on the 12-epoch configuration,
@@ -67,6 +74,44 @@ MODES = {"float64": None, "float32": np.float32}
 PHASES = ("estep", "grad", "mstep", "sgd")
 
 
+class LayerTimer(Callback):
+    """Seconds spent in each layer's ``forward`` and ``backward`` during
+    ``fit``.
+
+    The wrappers go onto the layer instances at train start and come off
+    at train end, so the model code carries no timers and the final
+    accuracy evaluation stays out of the table.
+    """
+
+    def __init__(self):
+        self.layers = {}
+        self._wrapped = []
+
+    def on_train_start(self, ctx):
+        for layer in ctx.model.layers:
+            row = self.layers.setdefault(layer.name, {"fwd_s": 0.0, "bwd_s": 0.0})
+            self._wrap(layer, "forward", row, "fwd_s")
+            self._wrap(layer, "backward", row, "bwd_s")
+
+    def _wrap(self, layer, attr, row, column):
+        inner = getattr(layer, attr)
+
+        def timed(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                row[column] += time.perf_counter() - start
+
+        setattr(layer, attr, timed)
+        self._wrapped.append((layer, attr))
+
+    def on_train_end(self, history, ctx):
+        for layer, attr in self._wrapped:
+            delattr(layer, attr)
+        self._wrapped.clear()
+
+
 def run_benchmark(quick: bool = False):
     config = timing_bench_config(epochs=3 if quick else 12)
     data = load_image_data(config)
@@ -74,7 +119,10 @@ def run_benchmark(quick: bool = False):
 
     modes = {}
     for mode, model_dtype in MODES.items():
-        result = train_deep(config, data=data, model_dtype=model_dtype)
+        timer = LayerTimer()
+        result = train_deep(
+            config, data=data, model_dtype=model_dtype, callbacks=[timer]
+        )
         losses = [float(v) for v in result.history.losses()]
         gauges = result.metrics.get("gauges", {})
         modes[mode] = {
@@ -91,6 +139,7 @@ def run_benchmark(quick: bool = False):
                 abs(a - b) for a, b in zip(losses, legacy)
             ),
             "final_loss_abs_diff": abs(losses[-1] - legacy[-1]),
+            "layers": timer.layers,
         }
 
     payload = bench_payload(
@@ -151,6 +200,15 @@ def format_report(payload, path):
             f"{mode:10s} {m['wall_seconds']:6.2f}s "
             + " ".join(f"{m['phases'][p]:6.2f}s" for p in PHASES)
             + f" {m['max_loss_abs_diff']:11.1e} {m['density_evals']:6d}"
+        )
+    modes = extra["modes"]
+    lines.append("per layer, forward/backward seconds:")
+    lines.append(f"{'layer':10s} " + " ".join(f"{m:>15s}" for m in modes))
+    for name in next(iter(modes.values()))["layers"]:
+        cells = (modes[m]["layers"][name] for m in modes)
+        lines.append(
+            f"{name:10s} "
+            + " ".join(f"{c['fwd_s']:7.3f}/{c['bwd_s']:<7.3f}" for c in cells)
         )
     lines.append(
         f"gates: float64 epoch losses within {extra['max_loss_diff']:.0e} "

@@ -8,7 +8,7 @@ import numpy as np
 
 from ...core.fusion import Workspace
 from ...rng import default_generator
-from ..im2col import col2im, im2col
+from ..im2col import IndexCache, col2im, im2col
 from .base import Layer
 
 __all__ = ["Conv2D"]
@@ -73,13 +73,15 @@ class Conv2D(Layer):
         self.bias = self.add_param("bias", np.zeros(out_channels))
         self._col: Optional[np.ndarray] = None
         self._input_shape: Optional[tuple] = None
-        # Per-layer buffer cache: the im2col patch matrix is k^2 times
-        # the activation size, and reallocating it every iteration
-        # dominated this layer's allocation traffic.  Training and
-        # inference use distinct keys so an eval forward between a
-        # training forward and its backward cannot clobber the cached
-        # patch matrix.
+        # Training buffers: the im2col patch matrix is k^2 times the
+        # activation size, and reallocating it every iteration
+        # dominated this layer's allocation traffic.  Only the training
+        # forward and backward (the trainer's one thread) use them;
+        # inference forwards may run concurrently and allocate their
+        # own patch matrix.
         self._workspace = Workspace()
+        # Read-only im2col/col2im index per input geometry.
+        self._indices: IndexCache = {}
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -90,8 +92,8 @@ class Conv2D(Layer):
         k = self.kernel_size
         col, out_h, out_w = im2col(
             x, k, k, self.stride, self.pad,
-            workspace=self._workspace,
-            key="im2col/train" if training else "im2col/eval",
+            workspace=self._workspace if training else None,
+            indices=self._indices,
         )
         w_mat = self.weight.reshape(self.out_channels, -1).T  # (C*k*k, OC)
         out = col @ w_mat + self.bias
@@ -125,5 +127,5 @@ class Conv2D(Layer):
         )
         return col2im(
             grad_col, self._input_shape, k, k, self.stride, self.pad,
-            workspace=self._workspace,
+            indices=self._indices,
         )

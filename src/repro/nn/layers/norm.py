@@ -122,22 +122,23 @@ class LocalResponseNorm(Layer):
         self.k = float(k)
         self._cache: Optional[dict] = None
 
-    def _window_sum_sq(self, x: np.ndarray) -> np.ndarray:
-        """Per-channel windowed sum of squares across channels."""
-        sq = x * x
-        c = x.shape[1]
-        half = self.size // 2
-        # Cumulative-sum trick along the channel axis.
-        padded = np.zeros((x.shape[0], c + 1) + x.shape[2:], dtype=x.dtype)
-        np.cumsum(sq, axis=1, out=padded[:, 1:])
-        lo = np.clip(np.arange(c) - half, 0, c)
-        hi = np.clip(np.arange(c) + half + 1, 0, c)
-        return padded[:, hi] - padded[:, lo]
+    def _window_sum(self, a: np.ndarray) -> np.ndarray:
+        """``sum_{|c' - c| <= size // 2} a_{c'}`` for every channel ``c``.
+
+        The window is clipped at the first and last channel: one
+        shifted-slice add per neighbour on each side, ``size // 2``
+        pairs (DESIGN.md §4j).
+        """
+        out = a.copy()
+        for d in range(1, min(self.size // 2, a.shape[1] - 1) + 1):
+            out[:, d:] += a[:, :-d]
+            out[:, :-d] += a[:, d:]
+        return out
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"{self.name}: expected (N, C, H, W), got {x.shape}")
-        window = self._window_sum_sq(x)
+        window = self._window_sum(x * x)
         denom_base = self.k + (self.alpha / self.size) * window
         denom = denom_base**self.beta
         out = x / denom
@@ -157,13 +158,8 @@ class LocalResponseNorm(Layer):
         direct = grad_out / denom
         # For each channel c', sum over channels c whose window contains c':
         # dL/dx_{c'} -= 2 alpha beta / n * x_{c'} * sum_c [g_c x_c / base_c^{beta+1}]
-        inner = grad_out * x / (denom_base ** (self.beta + 1.0))
-        c = x.shape[1]
-        half = self.size // 2
-        padded = np.zeros((x.shape[0], c + 1) + x.shape[2:], dtype=x.dtype)
-        np.cumsum(inner, axis=1, out=padded[:, 1:])
-        lo = np.clip(np.arange(c) - half, 0, c)
-        hi = np.clip(np.arange(c) + half + 1, 0, c)
-        window_inner = padded[:, hi] - padded[:, lo]
-        cross = (2.0 * self.alpha * self.beta / self.size) * x * window_inner
+        # The window is symmetric, so summing over the windows that
+        # contain c' is the same window sum.  base^(beta+1) = denom*base.
+        inner = grad_out * x / (denom * denom_base)
+        cross = (2.0 * self.alpha * self.beta / self.size) * x * self._window_sum(inner)
         return direct - cross

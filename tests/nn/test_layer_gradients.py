@@ -48,10 +48,15 @@ def build_cases(rng):
          rng.standard_normal((2, 3, 4, 4))),
         (ResidualBlock("rb_proj", 2, 4, stride=2, rng=rng),
          rng.standard_normal((2, 2, 6, 6))),
+        # All-negative input: a padded cell must never win the max.
+        (MaxPool2D("maxpool_pad", 3, 2, pad=1),
+         -np.abs(rng.standard_normal((2, 2, 5, 5))) - 0.1),
+        # Fewer channels than the window.
+        (LocalResponseNorm("lrn5", size=5, alpha=1e-2), rng.standard_normal((2, 3, 3, 3))),
     ]
 
 
-@pytest.mark.parametrize("case_index", range(15))
+@pytest.mark.parametrize("case_index", range(17))
 def test_layer_input_gradient(case_index):
     rng = np.random.default_rng(500 + case_index)
     layer, x = build_cases(rng)[case_index]

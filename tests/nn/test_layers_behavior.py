@@ -1,5 +1,10 @@
 """Behavioural unit tests for individual layers (beyond gradient checks)."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from repro.nn.layers import (
     SoftmaxCrossEntropy,
     softmax,
 )
+from repro.nn.models import alex_cifar10
 
 
 def test_dense_affine_map(rng):
@@ -57,6 +63,66 @@ def test_avgpool_averages():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     out = AvgPool2D("ap", 2, 2).forward(x, training=False)
     assert np.allclose(out, [[[[2.5]]]])
+
+
+def test_padded_maxpool_ignores_the_pad():
+    # All-negative input: a zero pad border would win every edge window.
+    x = -np.arange(1.0, 17.0).reshape(1, 1, 4, 4)
+    layer = MaxPool2D("mp", 3, 2, pad=1)
+    out = layer.forward(x, training=True)
+    assert np.array_equal(out, [[[[-1.0, -2.0], [-5.0, -6.0]]]])
+    grad = layer.backward(np.ones_like(out))
+    # Each window's unit gradient reaches its winning input cell.
+    expected = np.zeros((4, 4))
+    expected[0, 0] = expected[0, 1] = expected[1, 0] = expected[1, 1] = 1.0
+    assert np.array_equal(grad[0, 0], expected)
+
+
+@pytest.mark.parametrize("cls", [MaxPool2D, AvgPool2D])
+def test_pool_rejects_pad_not_below_window(cls):
+    with pytest.raises(ValueError):
+        cls("p", 2, 2, pad=2)
+    cls("p", 3, 2, pad=2)
+
+
+def test_avgpool_counts_pad_cells_in_the_mean():
+    out = AvgPool2D("ap", 3, 1, pad=1).forward(np.ones((1, 1, 2, 2)), training=False)
+    assert np.allclose(out, 4.0 / 9.0)
+
+
+def test_concurrent_inference_matches_serial_outputs():
+    """Inference forwards on one model from many threads (as the
+    server's batcher workers run them) give the single-threaded bits."""
+    net = alex_cifar10(image_size=16, seed=0)
+    n_threads = (os.cpu_count() or 1) + 2
+    rng = np.random.default_rng(7)
+    batches = [rng.standard_normal((4, 3, 16, 16)) for _ in range(n_threads)]
+    expected = [net.forward(b, training=False) for b in batches]
+    mismatches = []
+    calls = [0] * n_threads
+    deadline = time.monotonic() + 3.0
+
+    def worker(i):
+        for _ in range(100):
+            if time.monotonic() > deadline:
+                break
+            calls[i] += 1
+            if not np.array_equal(net.forward(batches[i], training=False), expected[i]):
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert min(calls) > 0
+    assert not mismatches, f"{len(mismatches)} of {sum(calls)} outputs differ"
 
 
 def test_relu_zeroes_negatives():
