@@ -21,8 +21,10 @@ experiment as the legacy two-evaluation path it replaced:
   where the legacy path evaluated 2880.
 
 The float64 loss gate also certifies the conv, pool and LRN arithmetic
-(the im2col/col2im index, the LRN window sum): every forward and
-backward of the model feeds those losses.
+(the channel-last window unfold, the transposed-conv input gradient,
+slice pooling, the LRN window sum): every forward and backward of the
+model feeds those losses.  The payload's ``env`` block records the
+host, library versions and git sha the run used.
 
 The speed of this path is measured end to end by the ``train_eager``
 and ``train_lazy`` workloads of ``benchmarks/e2e`` (parent against

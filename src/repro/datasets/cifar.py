@@ -17,8 +17,12 @@ Why this preserves the behaviour the paper measures:
 - layer weights develop non-trivial distributions, so the per-layer GMs
   of Tables IV/V learn distinct (pi, lambda).
 
-Image tensors use the ``(N, C, H, W)`` layout throughout the ``nn``
-package.
+Image tensors have the ``(N, C, H, W)`` shape throughout the ``nn``
+package.  Datasets (and ``augment``) hand out ordinary C-contiguous,
+channel-first arrays; the image layers store their own activations
+channel-last in memory behind that same shape, and the first
+convolution reads a channel-first batch through a strided view
+(DESIGN.md §4j).
 """
 
 from __future__ import annotations

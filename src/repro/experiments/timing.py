@@ -43,9 +43,9 @@ def timing_bench_config(**overrides) -> DeepRunConfig:
 
     Small images with many small batches make the per-iteration EM cost
     a material fraction of total step time — the regime the paper's GPU
-    setup was in.  On CPU the E-step kernel keeps eager EM to ~30% of
-    an iteration, so the lazy update saves ~1.2-1.4x at Im=50 rather
-    than the paper's ~4x.
+    setup was in.  On CPU the E-step kernel keeps eager EM to about a
+    third of an iteration, so the lazy update saves ~1.5x at Im=50
+    rather than the paper's ~4x.
     """
     defaults = dict(
         model="alex", image_size=8, n_train=300, n_test=100, epochs=12,

@@ -12,7 +12,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .layers.base import Layer
+from .layers.base import Layer, input_gradient
 
 __all__ = ["numerical_gradient", "check_layer_gradients", "max_relative_error"]
 
@@ -70,7 +70,7 @@ def check_layer_gradients(
 
     # Analytic gradients (recompute forward so caches match `objective`).
     layer.forward(x, training=True)
-    grad_in = layer.backward(r.copy())
+    grad_in = input_gradient(layer, r.copy())
     input_error = max_relative_error(grad_in, numerical_gradient(objective, x, eps))
 
     param_errors = {}

@@ -1,45 +1,55 @@
-"""im2col / col2im through one gather/scatter index per window geometry.
+"""Channel-last sliding windows: im2col for convolution forwards and the
+transposed convolution that is their input gradient.
 
-The convolution and pooling layers lower their sliding-window
-computation to matrix multiplication via the classic im2col transform
-(as Caffe and SINGA do on CPU).  ``im2col`` unfolds ``(N, C, H, W)``
-input into a ``(N * out_h * out_w, C * kh * kw)`` patch matrix;
-``col2im`` scatters patch-space gradients back, summing overlaps.
+Image layers keep the public ``(N, C, H, W)`` shape but store their
+activations channel-last: the memory is ``(N, H, W, C)`` C-contiguous
+and the layer hands out its ``transpose(0, 3, 1, 2)`` view.  A layer
+reads its input through ``x.transpose(0, 2, 3, 1)``, which is free when
+the producer was channel-last (and a plain strided read otherwise, e.g.
+for dataset batches).  See DESIGN.md §4j.
 
-Both are driven by :func:`window_index`: for one image, the flat
-position in the padded ``(C, H + 2 pad, W + 2 pad)`` input of every
-patch-matrix entry.  It depends only on the window geometry ``(C, H,
-W, kh, kw, stride, pad)`` — not on the batch size or the data — so a
-layer builds it once and keeps it in a read-only per-layer ``indices``
-dict.  ``im2col`` is then one ``np.take`` of the padded input into the
-patch matrix, and ``col2im`` one ``np.bincount`` scatter-add of the
-patch gradients onto the padded input, cast back to the gradient's
-dtype (``np.bincount`` accumulates in float64).  See DESIGN.md §4j.
+- :func:`pad_channel_last` gives the channel-last image with a border of
+  ``pad`` cells (zeros for convolutions, ``-inf`` for max pooling).
+- :func:`window_view` is a read-only ``as_strided`` view
+  ``(N, out_h, out_w, kh, kw, C)`` of every window of such an image;
+  ``window_view(...)[:, :, :, dy, dx]`` is the strided slice of window
+  offset ``(dy, dx)``, which is all pooling needs.
+- :func:`im2col` copies that view into the ``(N * out_h * out_w,
+  kh * kw * C)`` patch matrix with columns ``[kh][kw][c]``: each inner
+  copy is ``kw * C`` contiguous elements.  The convolution weight
+  ``(OC, C, kh, kw)`` meets it as ``weight.transpose(0, 2, 3, 1)``.
+- :func:`conv_input_grad` is the input gradient of such a convolution
+  as a transposed convolution: the stride-dilated output gradient in a
+  zero buffer, one window copy and one GEMM with the flipped kernel.
+  Nothing is scattered.
 
-``im2col`` accepts an optional :class:`~repro.core.fusion.Workspace`:
-the patch matrix is ``k^2`` times larger than the activation it
-unfolds, so the training forward reuses its buffers across iterations.
-The values produced are identical either way — buffer reuse changes
-*where* results are written, never *what* is computed.  A returned
-array may be a view into its workspace and stays valid until the next
-``im2col`` call with the same workspace, so only the owner's one
-training thread may pass one; inference forwards allocate.
+``im2col`` and ``conv_input_grad`` accept an optional
+:class:`~repro.core.fusion.Workspace`: the patch matrix is ``k^2`` times
+larger than the activation it unfolds, so the training forward and
+backward reuse their buffers across iterations.  The values produced
+are identical either way — buffer reuse changes *where* results are
+written, never *what* is computed.  A returned array may be a view into
+its workspace and stays valid until the next call with the same
+workspace and key, so only the owner's one training thread may pass
+one; inference forwards allocate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..core.fusion import Workspace
 
-__all__ = ["conv_output_size", "window_index", "im2col", "col2im"]
-
-#: ``(C, H, W, kh, kw, stride, pad)`` of one unfold.
-Geometry = Tuple[int, int, int, int, int, int, int]
-#: A layer's per-geometry :func:`window_index` cache.
-IndexCache = Dict[Geometry, np.ndarray]
+__all__ = [
+    "conv_output_size",
+    "pad_channel_last",
+    "window_view",
+    "im2col",
+    "conv_input_grad",
+]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -53,39 +63,52 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def window_index(
-    c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int
+def _buffer(
+    workspace: Optional[Workspace],
+    key: Hashable,
+    shape: Tuple[int, ...],
+    dtype: np.dtype,
 ) -> np.ndarray:
-    """Flat padded-input position of each patch-matrix entry of one image.
+    if workspace is None:
+        return np.empty(shape, dtype=dtype)
+    return workspace.get(key, shape, dtype)
 
-    Entry ``[(oy * out_w + ox) * C * kh * kw + (ch * kh + dy) * kw + dx]``
-    is the offset of ``(ch, oy * stride + dy, ox * stride + dx)`` in the
-    C-contiguous ``(C, H + 2 pad, W + 2 pad)`` padded image, i.e. rows
-    iterate output positions row-major and columns ``[c][kh][kw]``.  The
-    array is read-only.
+
+def pad_channel_last(
+    x: np.ndarray,
+    pad: int,
+    fill: float = 0.0,
+    workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """``(N, H + 2 pad, W + 2 pad, C)`` channel-last image of ``(N, C, H,
+    W)`` input ``x``, bordered with ``fill``.
+
+    Without padding this is the free view ``x.transpose(0, 2, 3, 1)``.
     """
-    out_h = conv_output_size(h, kh, stride, pad)
-    out_w = conv_output_size(w, kw, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    # Axes (out_h, out_w, C, kh, kw), broadcast.
-    oy = np.arange(out_h).reshape(-1, 1, 1, 1, 1)
-    ox = np.arange(out_w).reshape(-1, 1, 1, 1)
-    ch = np.arange(c).reshape(-1, 1, 1)
-    dy = np.arange(kh).reshape(-1, 1)
-    dx = np.arange(kw)
-    index = ((ch * hp + stride * oy + dy) * wp + stride * ox + dx).reshape(-1)
-    index.setflags(write=False)
-    return index
+    xt = x.transpose(0, 2, 3, 1)
+    if pad == 0:
+        return xt
+    n, h, w, c = xt.shape
+    img = _buffer(workspace, ("pad",), (n, h + 2 * pad, w + 2 * pad, c), x.dtype)
+    img.fill(fill)
+    img[:, pad : pad + h, pad : pad + w] = xt
+    return img
 
 
-def _index(indices: Optional[IndexCache], geometry: Geometry) -> np.ndarray:
-    """:func:`window_index` of ``geometry``, from ``indices`` when cached."""
-    if indices is None:
-        return window_index(*geometry)
-    index = indices.get(geometry)
-    if index is None:
-        index = indices[geometry] = window_index(*geometry)
-    return index
+def window_view(
+    img: np.ndarray, kh: int, kw: int, stride: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """Read-only ``(N, out_h, out_w, kh, kw, C)`` view of the windows of
+    the channel-last image ``img``: entry ``[n, oy, ox, dy, dx, c]`` is
+    ``img[n, oy * stride + dy, ox * stride + dx, c]``."""
+    n, _, _, c = img.shape
+    sn, sh, sw, sc = img.strides
+    return as_strided(
+        img,
+        shape=(n, out_h, out_w, kh, kw, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
+    )
 
 
 def im2col(
@@ -95,71 +118,78 @@ def im2col(
     stride: int,
     pad: int,
     workspace: Optional[Workspace] = None,
-    indices: Optional[IndexCache] = None,
-    pad_value: float = 0.0,
 ) -> Tuple[np.ndarray, int, int]:
-    """Unfold sliding windows into rows.
-
-    ``indices`` is the caller's :func:`window_index` cache (built on
-    the fly without one); ``pad_value`` fills the border (max pooling
-    pads with ``-inf`` so the border never wins).
+    """Unfold the zero-padded sliding windows of ``(N, C, H, W)`` input.
 
     Returns
     -------
     (col, out_h, out_w):
-        ``col`` has shape ``(N * out_h * out_w, C * kh * kw)``; rows
-        iterate images first, then output positions row-major.  With a
-        ``workspace`` the array is a reused buffer (valid until the next
-        call with it), otherwise freshly allocated.
+        ``col`` has shape ``(N * out_h * out_w, kh * kw * C)``; rows
+        iterate images first, then output positions row-major, and
+        columns are ``[kh][kw][c]``.  With a ``workspace`` the array is
+        a reused buffer (valid until the next call with it), otherwise
+        freshly allocated.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, pad)
     out_w = conv_output_size(w, kw, stride, pad)
-    index = _index(indices, (c, h, w, kh, kw, stride, pad))
-    if pad > 0:
-        padded_shape = (n, c, h + 2 * pad, w + 2 * pad)
-        if workspace is None:
-            img = np.empty(padded_shape, dtype=x.dtype)
-        else:
-            img = workspace.get(("im2col", "pad"), padded_shape, x.dtype)
-        img.fill(pad_value)
-        img[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        img = x
-    shape = (n * out_h * out_w, c * kh * kw)
-    if workspace is None:
-        col = np.empty(shape, dtype=x.dtype)
-    else:
-        col = workspace.get(("im2col", "col"), shape, x.dtype)
-    # ``index`` is in range by construction: "clip" skips numpy's
-    # buffered bounds check.
-    np.take(img.reshape(n, -1), index, axis=1, out=col.reshape(n, -1), mode="clip")
+    img = pad_channel_last(x, pad, workspace=workspace)
+    col = _buffer(
+        workspace, ("col",), (n * out_h * out_w, kh * kw * c), x.dtype
+    )
+    col.reshape(n, out_h, out_w, kh, kw, c)[...] = window_view(
+        img, kh, kw, stride, out_h, out_w
+    )
     return col, out_h, out_w
 
 
-def col2im(
-    col: np.ndarray,
+def _placed(top: int, stride: int, count: int, size: int) -> Tuple[int, int]:
+    """``[lo, hi)``: the outputs ``o < count`` whose row ``top + o *
+    stride`` lies in ``[0, size)`` (``lo == hi`` when there are none)."""
+    lo = max(0, -(top // stride))
+    hi = min(count, (size - 1 - top) // stride + 1)
+    return lo, max(lo, hi)
+
+
+def conv_input_grad(
+    grad: np.ndarray,
+    weight: np.ndarray,
     input_shape: Tuple[int, int, int, int],
-    kh: int,
-    kw: int,
     stride: int,
     pad: int,
-    indices: Optional[IndexCache] = None,
+    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col` for gradients (overlaps are summed).
+    """Gradient w.r.t. the input of a convolution, as a transposed one.
 
-    One ``np.bincount`` over the per-image index, offset by image;
-    gradient that lands on the pad border is dropped.  The result has
-    ``col``'s dtype and may be a view into the padded gradient.
+    ``grad`` is the ``(N, OC, OH, OW)`` output gradient of the
+    convolution of an ``input_shape`` input with ``weight`` ``(OC, C,
+    kh, kw)``.  Input cell ``y`` (per axis) receives ``grad[oy] *
+    weight[dy]`` for every ``oy * stride + dy = y + pad``.  Placing
+    ``grad[oy]`` at row ``kh - 1 - pad + oy * stride`` of a zero buffer
+    of height ``H + kh - 1`` turns that into a stride-1 correlation of
+    the buffer with the flipped kernel; rows outside the buffer belong
+    to windows that lie wholly in the pad and are dropped.
+
+    Returns the channel-last ``(N, C, H, W)`` gradient, in ``grad``'s
+    dtype.
     """
-    n, c, h, w = input_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    cells = c * hp * wp
-    index = _index(indices, (c, h, w, kh, kw, stride, pad))
-    flat = index + np.arange(0, n * cells, cells)[:, None]
-    img = np.bincount(
-        flat.reshape(-1), weights=col.reshape(-1), minlength=n * cells
-    ).reshape(n, c, hp, wp)
-    if pad > 0:
-        img = img[:, :, pad : pad + h, pad : pad + w]
-    return img.astype(col.dtype, copy=False)
+    n, oc, out_h, out_w = grad.shape
+    _, c, h, w = input_shape
+    kh, kw = weight.shape[2:]
+    top, left = kh - 1 - pad, kw - 1 - pad
+    buf = _buffer(
+        workspace, ("grad_pad",), (n, h + kh - 1, w + kw - 1, oc), grad.dtype
+    )
+    buf.fill(0)
+    y0, y1 = _placed(top, stride, out_h, h + kh - 1)
+    x0, x1 = _placed(left, stride, out_w, w + kw - 1)
+    buf[
+        :,
+        top + y0 * stride : top + y1 * stride : stride,
+        left + x0 * stride : left + x1 * stride : stride,
+    ] = grad.transpose(0, 2, 3, 1)[:, y0:y1, x0:x1]
+    col = _buffer(workspace, ("grad_col",), (n * h * w, kh * kw * oc), grad.dtype)
+    col.reshape(n, h, w, kh, kw, oc)[...] = window_view(buf, kh, kw, 1, h, w)
+    # (C, kh * kw * OC) with the kernel flipped, as BLAS's transposed operand.
+    flipped = weight.transpose(1, 2, 3, 0)[:, ::-1, ::-1].reshape(c, -1)
+    return (col @ flipped.T).reshape(n, h, w, c).transpose(0, 3, 1, 2)

@@ -8,12 +8,19 @@ forward/backward passes, in the style of SINGA/Caffe.
 Conventions shared by every layer:
 
 - activations are ``(N, ...)`` numpy arrays with the batch first;
-  convolutional tensors use ``(N, C, H, W)``;
+  convolutional tensors have the shape ``(N, C, H, W)`` but image
+  layers store them channel-last: the memory is ``(N, H, W, C)``
+  C-contiguous and the layer returns its ``transpose(0, 3, 1, 2)``
+  view, so the next layer's ``x.transpose(0, 2, 3, 1)`` is free
+  (DESIGN.md §4j).  Any memory order is accepted on input;
 - ``forward(x, training)`` returns the output and caches whatever the
   backward pass needs;
 - ``backward(grad_out)`` consumes the gradient w.r.t. the output and
   returns the gradient w.r.t. the input, accumulating parameter
-  gradients into ``grads`` (aligned with ``params``);
+  gradients into ``grads`` (aligned with ``params``).  A network's
+  first layer has :attr:`Layer.input_grad` off: nobody reads its input
+  gradient, so layers whose input gradient costs a GEMM return
+  ``None`` there instead;
 - parameters are exposed as named numpy arrays so the trainer can
   attach per-layer regularizers to the *weights* and leave biases and
   normalization scales unregularized, as the paper does.
@@ -21,15 +28,20 @@ Conventions shared by every layer:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Layer"]
+__all__ = ["Layer", "input_gradient"]
 
 
 class Layer:
     """Base class: a (possibly parameterless) differentiable transform."""
+
+    #: Whether :meth:`backward` must return the input gradient.  Set by
+    #: :class:`~repro.nn.network.Network` from the layer's position: off
+    #: for the first layer only.
+    input_grad = True
 
     def __init__(self, name: str):
         self.name = name
@@ -42,8 +54,11 @@ class Layer:
         """Compute the layer output; cache state needed by backward."""
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. the input; fills ``self.grads`` for parameters."""
+    def backward(self, grad_out: np.ndarray) -> Optional[np.ndarray]:
+        """Gradient w.r.t. the input; fills ``self.grads`` for parameters.
+
+        May return ``None`` when :attr:`input_grad` is off.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -117,3 +132,12 @@ class Layer:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def input_gradient(layer: Layer, grad_out: np.ndarray) -> np.ndarray:
+    """``layer.backward(grad_out)`` for a caller that reads the input
+    gradient; raises if the layer skipped it (``input_grad`` off)."""
+    grad = layer.backward(grad_out)
+    if grad is None:
+        raise RuntimeError(f"{layer.name}: input gradient skipped (input_grad off)")
+    return grad

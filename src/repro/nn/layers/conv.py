@@ -1,4 +1,4 @@
-"""2-D convolution layer (im2col-based)."""
+"""2-D convolution layer (channel-last im2col + GEMM)."""
 
 from __future__ import annotations
 
@@ -8,14 +8,18 @@ import numpy as np
 
 from ...core.fusion import Workspace
 from ...rng import default_generator
-from ..im2col import IndexCache, col2im, im2col
+from ..im2col import conv_input_grad, im2col
 from .base import Layer
 
 __all__ = ["Conv2D"]
 
 
 class Conv2D(Layer):
-    """Cross-correlation with learned filters, ``(N, C, H, W)`` layout.
+    """Cross-correlation with learned filters, ``(N, C, H, W)`` shapes.
+
+    The output is channel-last in memory (see :mod:`repro.nn.im2col`);
+    ``weight`` keeps its ``(OC, C, kh, kw)`` shape.  As a network's
+    first layer, :meth:`backward` computes only the parameter gradients.
 
     Parameters
     ----------
@@ -80,8 +84,6 @@ class Conv2D(Layer):
         # inference forwards may run concurrently and allocate their
         # own patch matrix.
         self._workspace = Workspace()
-        # Read-only im2col/col2im index per input geometry.
-        self._indices: IndexCache = {}
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -93,39 +95,35 @@ class Conv2D(Layer):
         col, out_h, out_w = im2col(
             x, k, k, self.stride, self.pad,
             workspace=self._workspace if training else None,
-            indices=self._indices,
         )
-        w_mat = self.weight.reshape(self.out_channels, -1).T  # (C*k*k, OC)
-        out = col @ w_mat + self.bias
-        out = out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+        # (OC, kh*kw*C) in the patch columns' [kh][kw][c] order; its
+        # transpose is BLAS's transposed operand, not a copy.
+        w_mat = self.weight.transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
+        out = col @ w_mat.T
+        out += self.bias
         if training:
             self._col = col
             self._input_shape = x.shape
         else:
             self._col = None
             self._input_shape = None
-        return out
+        # Channel-last memory behind the (N, OC, OH, OW) shape.
+        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> Optional[np.ndarray]:
         if self._col is None or self._input_shape is None:
             raise RuntimeError(f"{self.name}: backward before training forward")
         k = self.kernel_size
-        # (N, OC, OH, OW) -> (N*OH*OW, OC) aligned with im2col rows.
-        grad_mat = np.ascontiguousarray(
-            grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        )
-        self.grads["weight"][...] = (
-            (self._col.T @ grad_mat).T.reshape(self.weight.shape)
-        )
+        # (N*OH*OW, OC) aligned with the im2col rows; a free view when
+        # grad_out is channel-last.
+        grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
+        self.grads["weight"][...] = (grad_mat.T @ self._col).reshape(
+            self.out_channels, k, k, self.in_channels
+        ).transpose(0, 3, 1, 2)
         self.grads["bias"][...] = grad_mat.sum(axis=0)
-        grad_col = self._workspace.get(
-            ("grad_col",), (grad_mat.shape[0], self._col.shape[1]),
-            grad_mat.dtype,
-        )
-        np.matmul(
-            grad_mat, self.weight.reshape(self.out_channels, -1), out=grad_col
-        )
-        return col2im(
-            grad_col, self._input_shape, k, k, self.stride, self.pad,
-            indices=self._indices,
+        if not self.input_grad:
+            return None
+        return conv_input_grad(
+            grad_out, self.weight, self._input_shape, self.stride, self.pad,
+            workspace=self._workspace,
         )

@@ -62,9 +62,11 @@ class Dense(Layer):
         self._x = x if training else None
         return x @ self.weight + self.bias
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> Optional[np.ndarray]:
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward before training forward")
         self.grads["weight"][...] = self._x.T @ grad_out
         self.grads["bias"][...] = grad_out.sum(axis=0)
+        if not self.input_grad:
+            return None
         return grad_out @ self.weight.T

@@ -127,9 +127,11 @@ class LocalResponseNorm(Layer):
 
         The window is clipped at the first and last channel: one
         shifted-slice add per neighbour on each side, ``size // 2``
-        pairs (DESIGN.md §4j).
+        pairs (DESIGN.md §4j).  The sum keeps ``a``'s memory order, so
+        on channel-last activations the slices run along the
+        contiguous axis.
         """
-        out = a.copy()
+        out = a.copy(order="K")
         for d in range(1, min(self.size // 2, a.shape[1] - 1) + 1):
             out[:, d:] += a[:, :-d]
             out[:, :-d] += a[:, d:]

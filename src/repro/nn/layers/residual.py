@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...rng import default_generator
-from .base import Layer
+from .base import Layer, input_gradient
 from .conv import Conv2D
 from .norm import BatchNorm2D
 
@@ -127,18 +127,18 @@ class ResidualBlock(Layer):
         grad = np.where(self._relu_mask_out, grad_out, 0.0)
         # Residual branch.
         grad_branch = self.bn2.backward(grad)
-        grad_branch = self.conv2.backward(grad_branch)
+        grad_branch = input_gradient(self.conv2, grad_branch)
         grad_branch = np.where(self._relu_mask1, grad_branch, 0.0)
         grad_branch = self.bn1.backward(grad_branch)
-        grad_branch = self.conv1.backward(grad_branch)
+        grad_branch = input_gradient(self.conv1, grad_branch)
         # Shortcut branch.
         if self.projection is not None:
             if self.projection_bn is None:
                 raise RuntimeError(
                     f"{self.name}: projection exists without projection_bn"
                 )
-            grad_shortcut = self.projection.backward(
-                self.projection_bn.backward(grad)
+            grad_shortcut = input_gradient(
+                self.projection, self.projection_bn.backward(grad)
             )
         else:
             grad_shortcut = grad

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.regularizers import Regularizer
 from ..optim.trainer import Parameter
-from .layers.base import Layer
+from .layers.base import Layer, input_gradient
 from .layers.loss import SoftmaxCrossEntropy
 
 __all__ = ["Network", "RegularizerFactory"]
@@ -34,6 +34,10 @@ class Network:
             raise ValueError("a network needs at least one layer")
         self.name = name
         self.layers = list(layers)
+        # Nobody reads the first layer's input gradient, so its backward
+        # may skip computing it (DESIGN.md §4j).
+        for index, layer in enumerate(self.layers):
+            layer.input_grad = index > 0
         self.loss_head = SoftmaxCrossEntropy()
         self._parameters: List[Parameter] = []
         self._grad_refs: List[np.ndarray] = []
@@ -143,10 +147,12 @@ class Network:
             out = layer.forward(out, training)
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
+    def backward(self, grad: np.ndarray) -> None:
+        """Backpropagate the loss gradient into every layer's ``grads``;
+        the first layer's input gradient is not computed."""
+        for layer in reversed(self.layers[1:]):
+            grad = input_gradient(layer, grad)
+        self.layers[0].backward(grad)
 
     # ------------------------------------------------------------------
     @property

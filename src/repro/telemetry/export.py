@@ -7,6 +7,9 @@ only end-to-end wall-clock.  The shape is deliberately flat and stable::
     {
       "bench": "fig5_im50",
       "schema_version": 1,
+      "env": {"cpu_count": ..., "cpu_affinity": [...], "python": ...,
+              "numpy": ..., "blas": {"name": ..., "version": ...},
+              "git_sha": ... or null},
       "metrics": {"counters": ..., "gauges": ..., "histograms": ..., "timers": ...},
       "phases": {"estep": 1.23, "grad": 4.56, ...},
       "history": {"losses": [...], "cumulative_seconds": [...],
@@ -19,7 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Optional
+import platform
+import subprocess
+from typing import Any, Dict, List, Mapping, Optional
+
+import numpy as np
 
 from .callbacks import _jsonable
 from .metrics import MetricsRegistry
@@ -27,6 +34,45 @@ from .metrics import MetricsRegistry
 __all__ = ["bench_payload", "bench_filename", "write_bench_json"]
 
 SCHEMA_VERSION = 1
+
+
+def _git_sha() -> Optional[str]:
+    """HEAD of the git checkout holding this source tree, if any."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None
+
+
+def _bench_env() -> Dict[str, Any]:
+    """Where a bench ran, so two records are compared knowingly.
+
+    CPU count and the CPUs this process may run on, the Python, numpy
+    and BLAS versions, and the git sha of the source tree.  A value
+    that cannot be determined is ``None``.
+    """
+    try:
+        affinity: Optional[List[int]] = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        affinity = None
+    try:
+        config: Mapping[str, Any] = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 has no ``mode``
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": affinity,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "git_sha": _git_sha(),
+    }
 
 
 def bench_payload(
@@ -51,8 +97,14 @@ def bench_payload(
         per-epoch series are embedded.
     extra:
         Free-form benchmark-specific fields (e.g. the swept ``Im``).
+
+    The ``env`` block records where the run happened: CPU count and
+    affinity, Python, numpy and BLAS versions, and the git sha, each
+    ``None`` when unavailable.
     """
-    payload: Dict[str, Any] = {"bench": name, "schema_version": SCHEMA_VERSION}
+    payload: Dict[str, Any] = {
+        "bench": name, "schema_version": SCHEMA_VERSION, "env": _bench_env(),
+    }
     if isinstance(metrics, MetricsRegistry):
         payload["metrics"] = metrics.snapshot()
         payload["phases"] = metrics.phase_seconds()

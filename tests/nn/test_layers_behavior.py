@@ -85,6 +85,13 @@ def test_pool_rejects_pad_not_below_window(cls):
     cls("p", 3, 2, pad=2)
 
 
+@pytest.mark.parametrize("cls", [MaxPool2D, AvgPool2D])
+@pytest.mark.parametrize("stride", [0, -1])
+def test_pool_rejects_stride_below_one(cls, stride):
+    with pytest.raises(ValueError, match="stride"):
+        cls("p", 2, stride=stride)
+
+
 def test_avgpool_counts_pad_cells_in_the_mean():
     out = AvgPool2D("ap", 3, 1, pad=1).forward(np.ones((1, 1, 2, 2)), training=False)
     assert np.allclose(out, 4.0 / 9.0)

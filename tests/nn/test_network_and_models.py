@@ -24,6 +24,28 @@ def test_network_forward_shape(rng):
     assert out.shape == (5, 3)
 
 
+@pytest.mark.parametrize("build", ["mlp", "alex"])
+def test_first_layer_skips_only_its_input_gradient(build, rng):
+    if build == "mlp":
+        net, x = tiny_mlp(), rng.normal(size=(4, 8))
+    else:
+        net, x = alex_cifar10(image_size=8, seed=0), rng.normal(size=(4, 3, 8, 8))
+    y = np.array([0, 1, 2, 0])
+    assert [layer.input_grad for layer in net.layers] == (
+        [False] + [True] * (len(net.layers) - 1)
+    )
+    _, grads = net.loss_and_gradients(x, y)
+    skipped = [g.copy() for g in grads]
+    first = net.layers[0]
+    out = first.forward(x, training=True)
+    assert first.backward(np.ones_like(out)) is None
+    # With the input gradient computed, every parameter gradient is the same.
+    first.input_grad = True
+    _, grads = net.loss_and_gradients(x, y)
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, grads))
+    assert first.backward(np.ones_like(out)).shape == x.shape
+
+
 def test_network_gradient_check(rng):
     net = tiny_mlp()
     x = rng.normal(size=(4, 8))

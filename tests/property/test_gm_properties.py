@@ -9,10 +9,12 @@ from repro.core import (
     GaussianMixture,
     GMHyperParams,
     GMRegularizer,
+    stacked_estep,
     update_mixing_coefficients,
     update_precisions,
 )
-from repro.core.em import merge_similar_components
+from repro.core.em import _LAMBDA_MAX, _LAMBDA_MIN, merge_similar_components
+from repro.core.gaussian_mixture import _PI_FLOOR
 
 # Strategy: a valid mixture (K in 1..5, positive finite precisions).
 @st.composite
@@ -135,3 +137,60 @@ def test_mstep_never_increases_map_objective(seed, k, zero_fraction, dtype):
         reg.update(w, it)
         after = reg.regularization_loss(w)
         assert after <= before + 1e-9 * abs(before)
+
+
+@st.composite
+def clamped_mixtures(draw):
+    """K in 1..4 with lambda at both clamps (K >= 2) and pi down to the floor."""
+    k = draw(st.integers(1, 4))
+    clamps = [_LAMBDA_MIN, _LAMBDA_MAX]
+    inner = st.floats(-8.0, 12.0).map(lambda e: 10.0**e)
+    if k == 1:
+        lam = [draw(st.sampled_from(clamps) | inner)]
+    else:
+        lam = clamps + draw(st.lists(inner, min_size=k - 2, max_size=k - 2))
+    floored = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    floored[draw(st.integers(0, k - 1))] = False  # one component holds the mass
+    raw = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    raw[floored] = 0.0
+    pi = np.where(floored, _PI_FLOOR, raw / raw.sum() * (1.0 - _PI_FLOOR * sum(floored)))
+    order = draw(st.permutations(range(k)))
+    return GaussianMixture(pi=pi[order], lam=np.asarray(lam)[order])
+
+
+clamp_weights = hnp.arrays(
+    dtype=np.float64,
+    shape=st.integers(1, 40),
+    elements=st.floats(-1e3, 1e3, allow_nan=False),
+).map(lambda w: np.concatenate([w, [0.0, 1e3, -1e3]]))
+
+
+@given(
+    st.lists(st.tuples(clamped_mixtures(), clamp_weights), min_size=1, max_size=2),
+    st.sampled_from([np.float64, np.float32]),
+)
+@settings(max_examples=80, deadline=None)
+def test_stacked_estep_at_lambda_clamps(layers, dtype):
+    """The E-step kernel stays finite and matches Eq. 9 at the clamps.
+
+    Its softmax has no max-subtract pass: it relies on the pi floor and
+    the lambda clamps bounding the exponent.  Against responsibilities
+    from ``GaussianMixture.responsibilities``: ``g_reg`` (Eq. 10),
+    ``S0`` and ``S1`` within 1e-12 (float64) or 1e-5 (float32) of each
+    vector's largest magnitude.
+    """
+    mixtures = [gm for gm, _ in layers]
+    ws = [w.astype(dtype) for _, w in layers]
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    for gm, w, result in zip(mixtures, ws, stacked_estep(mixtures, ws)):
+        w64 = w.astype(np.float64)
+        resp = gm.responsibilities(w64)
+        expected = {
+            "gradient": (resp * gm.lam).sum(axis=1) * w64,
+            "resp_sum": resp.sum(axis=0),
+            "weighted_sq": (resp * (w64 * w64)[:, None]).sum(axis=0),
+        }
+        for name, ref in expected.items():
+            got = getattr(result, name)
+            assert np.all(np.isfinite(got)), name
+            assert np.abs(got - ref).max() <= rtol * np.abs(ref).max(), name

@@ -1,6 +1,8 @@
 """Tests for the BENCH_*.json exporter."""
 
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -75,6 +77,23 @@ def test_bench_payload_converts_numpy_types():
     assert payload["extra"]["acc"] == 0.5
     assert payload["extra"]["ns"] == [0, 1, 2]
     json.dumps(payload)
+
+
+def test_bench_payload_records_environment():
+    env = bench_payload("x")["env"]
+    assert env["cpu_count"] == os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        assert env["cpu_affinity"] == sorted(os.sched_getaffinity(0))
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["git_sha"] is None or len(env["git_sha"]) == 40
+    json.dumps(env)
+
+
+def test_bench_env_git_sha_is_null_without_git(monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    assert bench_payload("x")["env"]["git_sha"] is None
 
 
 def test_bench_filename_sanitizes():
