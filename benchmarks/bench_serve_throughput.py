@@ -6,10 +6,13 @@ Replays a burst of single-row predict requests against the
 — over the same MLP scoring the same synthetic-dataset rows, and writes
 ``BENCH_serve.json`` with QPS and p50/p99 latency for both modes.
 
-Both modes pay the identical per-request queue/handoff cost, so the
-measured gap is exactly what coalescing buys: one NumPy forward pass
-per 32 rows instead of 32 passes.  The run asserts the paper-stack
-deployment claims this PR is anchored on:
+Both modes send the burst through ``predict_many``, which keys its rows
+in one pass and queues the misses as blocks of at most
+``max_batch_size`` rows.  Batched mode therefore pays one queue
+hand-off and one NumPy forward pass per 32-row block, unbatched mode
+one of each per row: the gap measures what coalescing rows into blocks
+saves in hand-offs and model calls together, not the model call alone.
+The run asserts the paper-stack deployment claims:
 
 - batched QPS >= 3x unbatched QPS at batch size 32;
 - the served hard predictions are bit-identical across the batched

@@ -156,8 +156,7 @@ class ContinuousLoop:
                 + (1.0 - _ACCURACY_EWMA_BETA) * batch_accuracy
             )
         self.metrics.gauge("online/live_accuracy").set(self._live_accuracy)
-        for row, live_prediction, label in zip(x, predictions, y):
-            self.shadow.observe(row, live_prediction, label=label)
+        self.shadow.observe_many(x, predictions, labels=y)
         # 3. Train on the now-consumed labels.
         result = self.trainer.partial_fit(x, y)
         # 4. Publish a candidate when the cadence says so.

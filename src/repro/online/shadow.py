@@ -22,7 +22,7 @@ and is summarized into an immutable :class:`ShadowReport` for the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +49,11 @@ class ShadowReport:
     candidate_accuracy: Optional[float]
     live_latency_mean: float
     candidate_latency_mean: float
+
+
+def _row_equal(a: Any, b: Any) -> np.ndarray:
+    """Per row of two aligned prediction blocks: are the rows equal?"""
+    return np.asarray(a == b).reshape(len(a), -1).all(axis=1)
 
 
 class ShadowEvaluator:
@@ -133,52 +138,74 @@ class ShadowEvaluator:
         label: Optional[Any] = None,
         live_seconds: Optional[float] = None,
     ) -> Optional[Any]:
-        """Maybe mirror one served request to the candidate.
+        """Maybe mirror one served request (one-row :meth:`observe_many`)."""
+        return self.observe_many(
+            np.asarray(row)[np.newaxis, ...],
+            [live_prediction],
+            labels=None if label is None else [label],
+            live_seconds=live_seconds,
+        )[0]
 
-        Returns the candidate's prediction when the request was
-        mirrored, ``None`` otherwise (no candidate installed, or the
-        sampler skipped this request).  ``live_seconds`` lets the caller
-        report the live path's measured latency for the delta; the
-        candidate's inline scoring is timed here.
+    def observe_many(
+        self,
+        x: np.ndarray,
+        live: Sequence[Any],
+        labels: Optional[Sequence[Any]] = None,
+        live_seconds: Optional[float] = None,
+    ) -> List[Optional[Any]]:
+        """Maybe mirror each of a block of served requests to the candidate.
+
+        Draws one sampling decision per row (the same stream as one
+        :meth:`observe` per row) and scores every sampled row in one
+        candidate call.  Returns, per row, the candidate's prediction
+        when that row was mirrored, ``None`` otherwise (no candidate
+        installed, or the sampler skipped it).  ``live_seconds`` lets the
+        caller report the live path's measured per-request latency for
+        the delta; the candidate's scoring call is timed here.
         """
+        mirrored: List[Optional[Any]] = [None] * len(x)
         if self._candidate_model is None:
-            return None
-        if self._rng.random() >= self.fraction:
-            return None
+            return mirrored
+        sampled = np.flatnonzero(self._rng.random(len(x)) < self.fraction)
+        if not len(sampled):
+            return mirrored
         clock = self.metrics.clock
         with start_span(
             "online/shadow_observe",
             attributes={
                 "model": self.name,
                 "candidate": self._candidate_version,
+                "rows": len(sampled),
             },
         ) as span:
+            rows = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
             start = clock()
-            shadow_prediction = self._candidate_model.predict(
-                np.asarray(row, dtype=np.float64).reshape(1, -1)
-            )[0]
+            shadow = self._candidate_model.predict(rows[sampled])
             elapsed = clock() - start
-            self._samples += 1
+            live_block = np.asarray(live)[sampled]
+            agree = int(_row_equal(shadow, live_block).sum())
+            self._samples += len(sampled)
+            self._agree += agree
+            if labels is not None:
+                label_block = np.asarray(labels)[sampled]
+                self._labeled += len(sampled)
+                self._live_correct += int(
+                    _row_equal(live_block, label_block).sum()
+                )
+                self._candidate_correct += int(
+                    _row_equal(shadow, label_block).sum()
+                )
+            for index, prediction in zip(sampled, shadow):
+                mirrored[index] = prediction
             self._candidate_latency += elapsed
             if live_seconds is not None:
-                self._live_latency += float(live_seconds)
-            agree = bool(
-                np.asarray(shadow_prediction == live_prediction).all()
-            )
+                self._live_latency += float(live_seconds) * len(sampled)
+            self.metrics.counter("shadow/mirrored_total").inc(len(sampled))
             if agree:
-                self._agree += 1
-            if label is not None:
-                self._labeled += 1
-                if np.asarray(live_prediction == label).all():
-                    self._live_correct += 1
-                if np.asarray(shadow_prediction == label).all():
-                    self._candidate_correct += 1
-            self.metrics.counter("shadow/mirrored_total").inc()
-            if agree:
-                self.metrics.counter("shadow/agreements_total").inc()
+                self.metrics.counter("shadow/agreements_total").inc(agree)
             self.metrics.histogram("shadow/candidate_seconds").observe(elapsed)
-            span.set_attribute("agree", agree)
-            return shadow_prediction
+            span.set_attribute("agreed", agree)
+            return mirrored
 
     # ------------------------------------------------------------------
     def report(self) -> Optional[ShadowReport]:

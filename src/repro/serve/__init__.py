@@ -11,10 +11,12 @@ closes the repo's train → serve gap:
     based architecture-compatibility check.
 :mod:`repro.serve.batching`
     :class:`MicroBatcher` — bounded FIFO + worker pool that coalesces
-    concurrent single-row requests into one NumPy batch call.
+    concurrently queued row blocks (a single-row request is a 1-row
+    block) into one NumPy batch call; its limits count rows.
 :mod:`repro.serve.cache`
     :class:`PredictionCache` — LRU of per-row results keyed on
-    method x model-version x row bytes.
+    method x model-version x row dtype/shape/bytes, looked up and
+    filled a block at a time.
 :mod:`repro.serve.server`
     :class:`ModelServer` — the request lifecycle: per-request
     deadlines, backpressure shedding to a single-item sync path, and

@@ -5,18 +5,22 @@ dispatch, BLAS setup) rather than per-row arithmetic, so scoring 32
 queued rows as one ``(32, d)`` batch costs barely more than scoring one
 — the whole point of coalescing.  This module owns the mechanics:
 
-- requests enter a **bounded FIFO** (`max_queue`); a full queue makes
-  :meth:`MicroBatcher.submit` return ``False`` so the caller can shed
-  to its single-item sync path instead of growing memory without bound;
-- a worker takes the head request, then **coalesces** further queued
-  requests *of the same method* up to ``max_batch_size``, waiting at
-  most ``batch_timeout`` seconds for stragglers (a lone request on an
-  idle server therefore pays at most the timeout in added latency, and
-  pays nothing when the timeout is 0);
-- the stacked rows are dispatched **once** through a caller-provided
-  ``dispatch(method, rows)`` function and the per-row results fan back
-  out to the waiting callers;
-- a queued (not yet dispatched) request can be **cancelled**, which is
+- the unit of work is a **block**: one :class:`ServeRequest` carries an
+  ``(n, ...)`` array of rows (a single-row request is ``n = 1``), so a
+  caller scoring many rows pays one hand-off per block, not per row;
+- blocks enter a **bounded FIFO** whose limit ``max_queue`` counts
+  *rows*; a block that does not fit makes :meth:`MicroBatcher.submit`
+  return ``False`` so the caller can shed it to its inline path instead
+  of growing memory without bound;
+- a worker takes the head block, then **coalesces** further queued
+  whole blocks *of the same method* while the batch stays within
+  ``max_batch_size`` rows, waiting at most ``batch_timeout`` seconds for
+  stragglers (a lone request on an idle server therefore pays at most
+  the timeout in added latency, and pays nothing when the timeout is 0);
+- the coalesced rows are dispatched **once**, as one concatenated array,
+  through a caller-provided ``dispatch(method, rows)`` function, and the
+  per-row results are sliced back to each waiting block;
+- a queued (not yet dispatched) block can be **cancelled**, which is
   how per-request deadlines degrade gracefully instead of erroring.
 
 The batcher knows nothing about models, caches or metrics — the
@@ -35,8 +39,9 @@ import numpy as np
 
 __all__ = ["ServeRequest", "ServerClosed", "MicroBatcher"]
 
-# dispatch(method, rows) -> per-row results, aligned with rows
-DispatchFn = Callable[[str, List[np.ndarray]], Sequence[Any]]
+# dispatch(method, rows) -> per-row results, aligned with the rows of
+# the (n, ...) array (anything supporting len() and slicing).
+DispatchFn = Callable[[str, np.ndarray], Sequence[Any]]
 
 _QUEUED = "queued"
 _DISPATCHED = "dispatched"
@@ -60,7 +65,11 @@ class ServerClosed(RuntimeError):
 
 
 class ServeRequest:
-    """One in-flight single-row request.
+    """One in-flight block of rows, answered together.
+
+    ``rows`` is an ``(n, ...)`` array; once :meth:`done`, ``result``
+    holds the ``n`` per-row results (a slice of the dispatch output)
+    or ``error`` the failure of the batch the block rode in.
 
     ``context`` optionally carries the submitter's
     :class:`contextvars.Context` (captured at submit time when tracing
@@ -70,18 +79,18 @@ class ServeRequest:
     ``None`` and pay nothing.
     """
 
-    __slots__ = ("row", "method", "event", "result", "error", "state",
+    __slots__ = ("rows", "method", "event", "result", "error", "state",
                  "enqueued_at", "context")
 
     def __init__(
         self,
         method: str,
-        row: np.ndarray,
+        rows: np.ndarray,
         enqueued_at: float,
         context: Optional[contextvars.Context] = None,
     ) -> None:
         self.method = method
-        self.row = row
+        self.rows = rows
         self.event = threading.Event()
         self.result: Any = None
         self.error: Optional[BaseException] = None
@@ -89,28 +98,33 @@ class ServeRequest:
         self.enqueued_at = enqueued_at
         self.context = context
 
+    def __len__(self) -> int:
+        """Number of rows in the block."""
+        return len(self.rows)
+
     def done(self) -> bool:
         """Whether a result or error has been delivered to this request."""
         return self.event.is_set()
 
 
 class MicroBatcher:
-    """Coalesce concurrent single-row requests into batched dispatches.
+    """Coalesce concurrently queued row blocks into batched dispatches.
 
     Parameters
     ----------
     dispatch:
-        ``dispatch(method, rows)`` scoring a list of rows in one model
-        call; exceptions it raises are delivered to every request of the
-        failed batch.
+        ``dispatch(method, rows)`` scoring an ``(n, ...)`` array in one
+        model call; exceptions it raises are delivered to every block
+        of the failed batch.
     max_batch_size:
-        Upper bound on rows per dispatch (1 disables coalescing).
+        Upper bound on rows per dispatch (1 disables coalescing), and
+        so on the rows of one submitted block.
     batch_timeout:
         Seconds a worker waits for the batch to fill once it holds at
-        least one request.  0 dispatches whatever is immediately queued.
+        least one block.  0 dispatches whatever is immediately queued.
     max_queue:
-        Bound on queued (not yet dispatched) requests — the
-        backpressure limit.
+        Bound on queued (not yet dispatched) rows — the backpressure
+        limit.
     workers:
         Worker threads pulling batches.  With CPython's GIL more
         workers mainly help when the model releases the GIL inside
@@ -138,6 +152,7 @@ class MicroBatcher:
         self.batch_timeout = float(batch_timeout)
         self.max_queue = int(max_queue)
         self._queue: "deque[ServeRequest]" = deque()
+        self._queued_rows = 0
         self._cond = threading.Condition()
         self._stopping = False
         self._threads = [
@@ -153,54 +168,63 @@ class MicroBatcher:
     # Producer side
     # ------------------------------------------------------------------
     def submit(self, request: ServeRequest) -> bool:
-        """Enqueue; returns ``False`` (shed) when the queue is full.
+        """Enqueue one block; ``False`` (shed) when its rows do not fit.
 
         Raises :class:`ServerClosed` once :meth:`close` has begun.
         """
-        with self._cond:
-            if self._stopping:
-                raise ServerClosed()
-            if len(self._queue) >= self.max_queue:
-                return False
-            self._queue.append(request)
-            self._cond.notify()
-            return True
+        return self.submit_many([request]) == 1
 
     def submit_many(self, requests: Sequence[ServeRequest]) -> int:
-        """Enqueue a burst under one lock acquisition.
+        """Enqueue a burst of blocks under one lock acquisition.
 
-        Accepts a FIFO prefix up to the queue bound and returns how many
-        were taken; the caller sheds the rest exactly as for a ``False``
-        :meth:`submit`.  One acquisition + one notify for the whole
-        burst keeps the producer from trading the lock (and, in
-        CPython, the GIL) with the workers once per row.
+        Accepts the FIFO prefix of blocks whose rows fit under the queue
+        bound and returns how many blocks were taken; the caller sheds
+        the rest exactly as for a ``False`` :meth:`submit`.  One
+        acquisition + one notify for the whole burst keeps the producer
+        from trading the lock (and, in CPython, the GIL) with the
+        workers once per block.
+
+        Raises :class:`ValueError` for a block of more than
+        ``max_batch_size`` rows: no dispatch could carry it.
         """
+        for request in requests:
+            if len(request) > self.max_batch_size:
+                raise ValueError(
+                    f"block of {len(request)} rows exceeds max_batch_size="
+                    f"{self.max_batch_size}"
+                )
         with self._cond:
             if self._stopping:
                 raise ServerClosed()
-            room = self.max_queue - len(self._queue)
-            accepted = min(max(room, 0), len(requests))
-            self._queue.extend(requests[:accepted])
-            if accepted:
-                self._cond.notify_all()
+            accepted = 0
+            for request in requests:
+                if self._queued_rows + len(request) > self.max_queue:
+                    break
+                self._queue.append(request)
+                self._queued_rows += len(request)
+                accepted += 1
+            # One wake-up per accepted block, as many as there are idle
+            # workers to take them.
+            self._cond.notify(accepted)
             return accepted
 
     def cancel(self, request: ServeRequest) -> bool:
-        """Remove a still-queued request; ``False`` once dispatch began."""
+        """Remove a still-queued block; ``False`` once dispatch began."""
         with self._cond:
             if request.state == _QUEUED:
                 try:
                     self._queue.remove(request)
                 except ValueError:  # pragma: no cover - state implies presence
                     return False
+                self._queued_rows -= len(request)
                 request.state = _CANCELLED
                 return True
             return False
 
     def depth(self) -> int:
-        """Current number of queued (undispatched) requests."""
+        """Current number of queued (undispatched) rows."""
         with self._cond:
-            return len(self._queue)
+            return self._queued_rows
 
     # ------------------------------------------------------------------
     # Worker side
@@ -208,18 +232,23 @@ class MicroBatcher:
     def _take_matching_locked(
         self, method: str, limit: int
     ) -> List[ServeRequest]:
-        """Pop the FIFO prefix sharing ``method``, up to ``limit`` items.
+        """Pop the FIFO head of ``method`` blocks, up to ``limit`` rows.
 
         Only the contiguous head is taken so requests of another method
-        are never overtaken (FIFO fairness across methods).
+        are never overtaken (FIFO fairness across methods), and only
+        whole blocks: one that would overflow ``limit`` waits for the
+        next batch.
         """
         taken: List[ServeRequest] = []
-        while self._queue and len(taken) < limit:
-            if self._queue[0].method != method:
+        while self._queue:
+            head = self._queue[0]
+            if head.method != method or len(head) > limit:
                 break
-            request = self._queue.popleft()
-            request.state = _DISPATCHED
-            taken.append(request)
+            self._queue.popleft()
+            self._queued_rows -= len(head)
+            limit -= len(head)
+            head.state = _DISPATCHED
+            taken.append(head)
         return taken
 
     def _collect_batch(self) -> List[ServeRequest]:
@@ -232,17 +261,26 @@ class MicroBatcher:
             method = self._queue[0].method
             batch = self._take_matching_locked(method, self.max_batch_size)
             if self.batch_timeout > 0.0:
+                rows = sum(len(request) for request in batch)
                 deadline = time.monotonic() + self.batch_timeout
-                while len(batch) < self.max_batch_size and not self._stopping:
+                # Wait for stragglers only while nothing is queued: a
+                # queued head that could not join (another method, or a
+                # block too big for the room left) holds back everything
+                # behind it.
+                while (
+                    rows < self.max_batch_size
+                    and not self._queue
+                    and not self._stopping
+                ):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0.0:
                         break
                     self._cond.wait(remaining)
-                    batch.extend(
-                        self._take_matching_locked(
-                            method, self.max_batch_size - len(batch)
-                        )
+                    more = self._take_matching_locked(
+                        method, self.max_batch_size - rows
                     )
+                    rows += sum(len(request) for request in more)
+                    batch.extend(more)
             if self._queue:
                 # Leftover work (other method / beyond max batch): wake
                 # a sibling worker to start on it while we dispatch.
@@ -255,26 +293,31 @@ class MicroBatcher:
             if not batch:
                 return
             try:
-                # Restore the head request's submit-time context (when
+                # Restore the head block's submit-time context (when
                 # captured) so its trace parents the dispatch work done
                 # on this worker thread.  One batch = one model call =
                 # one context; the coalesced followers' results are
-                # fanned back regardless of whose context ran the call.
-                rows = [request.row for request in batch]
+                # sliced back regardless of whose context ran the call.
                 head = batch[0]
+                rows = (
+                    head.rows if len(batch) == 1
+                    else np.concatenate([request.rows for request in batch])
+                )
                 if head.context is not None:
                     results = head.context.run(
                         self._dispatch, head.method, rows
                     )
                 else:
                     results = self._dispatch(head.method, rows)
-                if len(results) != len(batch):
+                if len(results) != len(rows):
                     raise RuntimeError(
                         f"dispatch returned {len(results)} results for a "
-                        f"batch of {len(batch)}"
+                        f"batch of {len(rows)} rows"
                     )
-                for request, result in zip(batch, results):
-                    request.result = result
+                offset = 0
+                for request in batch:
+                    request.result = results[offset:offset + len(request)]
+                    offset += len(request)
             except BaseException as exc:  # delivered to every caller
                 for request in batch:
                     request.error = exc
@@ -297,11 +340,7 @@ class MicroBatcher:
         with self._cond:
             self._stopping = True
             if not drain:
-                while self._queue:
-                    request = self._queue.popleft()
-                    request.error = ServerClosed("server closed before dispatch")
-                    request.state = _DONE
-                    request.event.set()
+                self._fail_queued_locked()
             self._cond.notify_all()
         for thread in self._threads:
             thread.join()
@@ -312,11 +351,16 @@ class MicroBatcher:
         # worker drain (e.g. zero live workers), fail it rather than
         # leave its waiter blocked forever.
         with self._cond:
-            while self._queue:
-                request = self._queue.popleft()
-                request.error = ServerClosed("server closed before dispatch")
-                request.state = _DONE
-                request.event.set()
+            self._fail_queued_locked()
+
+    def _fail_queued_locked(self) -> None:
+        """Fail every still-queued block with :class:`ServerClosed`."""
+        while self._queue:
+            request = self._queue.popleft()
+            request.error = ServerClosed("server closed before dispatch")
+            request.state = _DONE
+            request.event.set()
+        self._queued_rows = 0
 
     @property
     def closed(self) -> bool:

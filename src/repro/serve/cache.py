@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,18 +73,36 @@ class PredictionCache:
         self.corruptions = 0
 
     @staticmethod
+    def make_keys(method: str, version: str, rows: np.ndarray) -> List[bytes]:
+        """Per row of ``rows``: digest of method, version, dtype/shape/bytes.
+
+        The method, version, dtype and per-row shape are hashed once
+        into a shared prefix; each row then costs one ``copy()`` of that
+        prefix plus its own bytes, read from a single buffer.
+        """
+        rows = np.ascontiguousarray(rows)
+        prefix = hashlib.sha1()
+        prefix.update(method.encode())
+        prefix.update(b"\x00")
+        prefix.update(version.encode())
+        prefix.update(b"\x00")
+        prefix.update(rows.dtype.str.encode())
+        prefix.update(str(rows.shape[1:]).encode())
+        data = memoryview(rows.tobytes())
+        width = rows.nbytes // len(rows) if len(rows) else 0
+        keys = []
+        for index in range(len(rows)):
+            digest = prefix.copy()
+            digest.update(data[index * width:(index + 1) * width])
+            keys.append(digest.digest())
+        return keys
+
+    @staticmethod
     def make_key(method: str, version: str, row: np.ndarray) -> bytes:
-        """Digest of ``(method, model version, row dtype/shape/bytes)``."""
-        row = np.ascontiguousarray(row)
-        digest = hashlib.sha1()
-        digest.update(method.encode())
-        digest.update(b"\x00")
-        digest.update(version.encode())
-        digest.update(b"\x00")
-        digest.update(str(row.dtype).encode())
-        digest.update(str(row.shape).encode())
-        digest.update(row.tobytes())
-        return digest.digest()
+        """Digest of one row: the one-row case of :meth:`make_keys`."""
+        return PredictionCache.make_keys(
+            method, version, np.asarray(row)[np.newaxis]
+        )[0]
 
     @staticmethod
     def fingerprint(value: Any) -> bytes:
@@ -106,16 +124,23 @@ class PredictionCache:
             digest.update(repr(value).encode())
         return digest.digest()
 
-    def get(self, key: bytes) -> Tuple[bool, Optional[Any]]:
-        """``(hit, value)``; a hit refreshes the entry's recency.
+    def get_many(self, keys: Sequence[bytes]) -> List[Tuple[bool, Any]]:
+        """``(hit, value)`` per key, all looked up under one lock.
 
-        In integrity mode a checksum mismatch evicts the entry and
-        reports a miss (counted in ``corruptions``) — a poisoned cache
-        line costs one recompute, never a wrong answer.
+        A hit refreshes the entry's recency.  In integrity mode a
+        checksum mismatch evicts the entry and reports a miss (counted
+        in ``corruptions``) — a poisoned cache line costs one
+        recompute, never a wrong answer.
         """
+        found: List[Tuple[bool, Any]] = []
         with self._lock:
-            if key in self._entries:
-                value, checksum = self._entries[key]
+            for key in keys:
+                entry = self._entries.get(key)
+                if entry is None:
+                    self.misses += 1
+                    found.append((False, None))
+                    continue
+                value, checksum = entry
                 if checksum is not None and (
                     PredictionCache.fingerprint(value) != checksum
                 ):
@@ -124,28 +149,52 @@ class PredictionCache:
                     self.evictions += 1
                     self.misses += 1
                     add_event("cache_corruption_detected")
-                    return False, None
+                    found.append((False, None))
+                    continue
                 self._entries.move_to_end(key)
                 self.hits += 1
-                return True, value
-            self.misses += 1
-            return False, None
+                found.append((True, value))
+        return found
 
-    def put(self, key: bytes, value: Any) -> None:
-        """Insert/refresh ``key``, evicting the least recent beyond capacity."""
-        checksum = (
-            PredictionCache.fingerprint(value) if self.integrity else None
-        )
+    def get(self, key: bytes) -> Tuple[bool, Optional[Any]]:
+        """``(hit, value)`` of one key: the one-key :meth:`get_many`."""
+        return self.get_many([key])[0]
+
+    def put_many(
+        self,
+        keys: Sequence[bytes],
+        values: Sequence[Any],
+        originals: Optional[Sequence[Any]] = None,
+    ) -> None:
+        """Insert/refresh every ``keys[i] -> values[i]`` under one lock.
+
+        Least-recent entries beyond capacity are evicted.  In integrity
+        mode each entry's checksum is taken from ``originals[i]`` when
+        given, else from ``values[i]`` — the chaos seam: a corrupted
+        value stored under its honest original's checksum is caught by
+        the next lookup (see :meth:`put_poisoned`).
+        """
         if self.maxsize == 0:
             return
+        checksums: Sequence[Optional[bytes]] = (
+            [PredictionCache.fingerprint(value)
+             for value in (values if originals is None else originals)]
+            if self.integrity
+            else [None] * len(keys)
+        )
         with self._lock:
-            if key not in self._entries:
-                self.inserts += 1
-            self._entries[key] = (value, checksum)
-            self._entries.move_to_end(key)
+            for key, value, checksum in zip(keys, values, checksums):
+                if key not in self._entries:
+                    self.inserts += 1
+                self._entries[key] = (value, checksum)
+                self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def put(self, key: bytes, value: Any) -> None:
+        """Insert/refresh one entry: the one-key case of :meth:`put_many`."""
+        self.put_many([key], [value])
 
     def put_poisoned(self, key: bytes, value: Any, original: Any) -> None:
         """Store ``value`` under the checksum of ``original`` (chaos seam).
@@ -158,19 +207,7 @@ class PredictionCache:
         :meth:`put` of the corrupted value — silent corruption, which is
         exactly the failure mode integrity mode exists to remove.
         """
-        if self.maxsize == 0:
-            return
-        checksum = (
-            PredictionCache.fingerprint(original) if self.integrity else None
-        )
-        with self._lock:
-            if key not in self._entries:
-                self.inserts += 1
-            self._entries[key] = (value, checksum)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        self.put_many([key], [value], originals=[original])
 
     def __len__(self) -> int:
         with self._lock:

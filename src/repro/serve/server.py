@@ -1,20 +1,26 @@
 """Model server: request lifecycle around the micro-batching engine.
 
-:class:`ModelServer` is the front door of ``repro.serve``.  Per request
-it:
+:class:`ModelServer` is the front door of ``repro.serve``.  Per call —
+one row through :meth:`~ModelServer.request`, or a block of rows through
+:meth:`~ModelServer.predict_many` — it:
 
 1. resolves the model — either a fixed instance or, through a
    :class:`~repro.serve.registry.ModelRegistry`, whatever version is
    currently active (hot-swaps take effect between batches);
-2. consults the LRU :class:`~repro.serve.cache.PredictionCache`
-   (keyed on method x version x row bytes);
-3. enqueues the row into the :class:`~repro.serve.batching.MicroBatcher`
-   and blocks until the coalesced batch dispatch fans its result back;
-4. degrades gracefully instead of failing: a **full queue** sheds the
-   request to an inline single-row model call (``serve/shed_total``),
-   and an expired **deadline** cancels the queued request and answers
-   it the same way (``serve/deadline_expired_total``) — callers always
-   get an answer, memory stays bounded.
+2. keys every row in one pass and consults the LRU
+   :class:`~repro.serve.cache.PredictionCache` under one lock (keyed on
+   method x version x row bytes);
+3. enqueues the misses into the
+   :class:`~repro.serve.batching.MicroBatcher` as blocks of at most
+   ``max_batch_size`` rows and blocks until the coalesced dispatches
+   slice their results back;
+4. degrades gracefully instead of failing: a **full queue** sheds a
+   block to inline single-row model calls (``serve/shed_total``), and
+   an expired **deadline** cancels the queued block and answers it the
+   same way (``serve/deadline_expired_total``) — callers always get an
+   answer, memory stays bounded.
+
+Counters and histograms count rows, not blocks, and move once per call.
 
 With a :class:`~repro.serve.resilience.ResiliencePolicy` attached the
 unhappy paths get the same treatment: model and registry calls are
@@ -48,7 +54,7 @@ import contextlib
 import contextvars
 import threading
 from types import TracebackType
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -64,7 +70,7 @@ __all__ = ["ModelServer"]
 
 
 class ModelServer:
-    """Serve single-row ``predict``-family queries with micro-batching.
+    """Serve ``predict``-family queries, by row or by block, micro-batched.
 
     Parameters
     ----------
@@ -196,120 +202,29 @@ class ModelServer:
         ServerClosed
             When the server (or its batcher) has begun shutting down.
         """
-        clock = self.metrics.clock
-        start = clock()
+        start = self.metrics.clock()
         if self.closed:
             raise ServerClosed()
         with self._start_span("serve/request", method=method) as span:
-            row = self._normalize_row(row)
-            version, model = self._resolve()
-            span.set_attribute("version", version)
-            if not callable(getattr(model, method, None)):
-                raise ValueError(
-                    f"model {type(model).__name__} does not support {method!r}"
-                )
-            self.metrics.counter("serve/requests_total").inc()
-
-            key = None
-            if self.cache.maxsize:
-                key = PredictionCache.make_key(method, version, row)
-                hit, value = self.cache.get(key)
-                if hit:
-                    span.event("cache_hit")
-                    self.metrics.counter("serve/cache_hits_total").inc()
-                    self._observe_latency(clock() - start)
-                    return value
-                span.event("cache_miss")
-                self.metrics.counter("serve/cache_misses_total").inc()
-
-            pending = ServeRequest(
-                method, row, enqueued_at=start,
-                context=self._capture_context(),
-            )
-            if not self._batcher.submit(pending):
-                # Bounded-queue backpressure: serve inline rather than grow.
-                span.event("shed", reason="queue_full")
-                self.metrics.counter("serve/shed_total").inc()
-                return self._predict_inline(method, row, model, key, start)
-            self._gauge_depth()
-
-            if pending.event.wait(timeout=deadline):
-                return self._finish(pending, start)
-            # Deadline expired while queued: cancel and degrade to the
-            # inline path so the caller still gets an answer.
-            if self._batcher.cancel(pending):
-                span.event("deadline_expired")
-                self.metrics.counter("serve/deadline_expired_total").inc()
-                return self._predict_inline(method, row, model, key, start)
-            # Already being dispatched; the result is moments away.
-            pending.event.wait()
-            return self._finish(pending, start)
+            block = self._normalize_row(row)[np.newaxis, ...]
+            return self._serve(span, method, block, start, deadline)[0]
 
     def predict_many(
         self, x: np.ndarray, method: str = "predict"
     ) -> List[Any]:
-        """Submit every row of ``x`` concurrently and wait for all.
+        """Score every row of ``x``; results come back in row order.
 
-        The rows flow through the same queue as individual requests, so
-        they coalesce into micro-batches; order of results matches the
-        row order of ``x``.
+        The rows are keyed and looked up in one pass, and the misses
+        queue as blocks of at most ``max_batch_size`` rows, which
+        coalesce with concurrent traffic like any other request.
         """
+        start = self.metrics.clock()
         if self.closed:
             raise ServerClosed()
-        clock = self.metrics.clock
         with self._start_span(
             "serve/predict_many", method=method, rows=len(x)
         ) as span:
-            results: List[Any] = [None] * len(x)
-            to_submit: List[Tuple[int, ServeRequest]] = []
-            version, model = self._resolve()
-            caching = bool(self.cache.maxsize)
-            requests_total = self.metrics.counter("serve/requests_total")
-            for index, row in enumerate(x):
-                start = clock()
-                row = self._normalize_row(row)
-                requests_total.inc()
-                if caching:
-                    key = PredictionCache.make_key(method, version, row)
-                    hit, value = self.cache.get(key)
-                    if hit:
-                        self.metrics.counter("serve/cache_hits_total").inc()
-                        self._observe_latency(clock() - start)
-                        results[index] = value
-                        continue
-                    self.metrics.counter("serve/cache_misses_total").inc()
-                # Per-request context copies: a shared Context object
-                # cannot be entered by two dispatching workers at once.
-                to_submit.append(
-                    (index,
-                     ServeRequest(method, row, enqueued_at=start,
-                                  context=self._capture_context()))
-                )
-            # One bulk enqueue instead of a lock/notify round-trip per row;
-            # whatever exceeds the queue bound is shed to the inline path,
-            # same as a single over-capacity submit.
-            accepted = self._batcher.submit_many(
-                [request for _index, request in to_submit]
-            )
-            self._gauge_depth()
-            if accepted < len(to_submit):
-                span.event(
-                    "shed", reason="queue_full",
-                    rows=len(to_submit) - accepted,
-                )
-            for index, request in to_submit[accepted:]:
-                self.metrics.counter("serve/shed_total").inc()
-                key = (
-                    PredictionCache.make_key(method, version, request.row)
-                    if caching else None
-                )
-                results[index] = self._predict_inline(
-                    method, request.row, model, key, request.enqueued_at
-                )
-            for index, request in to_submit[:accepted]:
-                request.event.wait()
-                results[index] = self._finish(request, request.enqueued_at)
-            return results
+            return self._serve(span, method, self._normalize_rows(x), start)
 
     # ------------------------------------------------------------------
     # Internals
@@ -346,6 +261,15 @@ class ModelServer:
         if row.ndim >= 2 and row.shape[0] == 1:
             row = row[0]
         return row
+
+    @staticmethod
+    def _normalize_rows(x: np.ndarray) -> np.ndarray:
+        """``x`` as an ``(n, ...)`` block, each row normalized as in
+        :meth:`_normalize_row`."""
+        rows = np.asarray(x)
+        if rows.ndim >= 3 and rows.shape[1] == 1:
+            rows = rows[:, 0]
+        return rows
 
     def _load_active(self) -> ActiveModel:
         """One chaos-wrapped registry resolution (the breaker's payload)."""
@@ -424,15 +348,139 @@ class ModelServer:
             return self.resilience.retry.call(bound, batch)
         return bound(batch)
 
-    def _dispatch(self, method: str, rows: List[np.ndarray]) -> List[Any]:
+    def _serve(
+        self,
+        span: Any,
+        method: str,
+        rows: np.ndarray,
+        start: float,
+        deadline: Optional[float] = None,
+    ) -> List[Any]:
+        """Answer an ``(n, ...)`` block of rows; the request lifecycle.
+
+        Keys and looks up every row in one pass, queues the misses as
+        blocks of at most ``max_batch_size`` rows, and degrades instead
+        of failing: blocks a full queue rejects, or whose ``deadline``
+        expires while queued, are answered row by row inline.  Counters
+        move once per call, in rows; every row gets one latency sample,
+        from ``start`` to when its answer was in hand.
+        """
+        version, model = self._resolve()
+        span.set_attribute("version", version)
+        if not callable(getattr(model, method, None)):
+            raise ValueError(
+                f"model {type(model).__name__} does not support {method!r}"
+            )
+        clock = self.metrics.clock
+        n = len(rows)
+        self.metrics.counter("serve/requests_total").inc(n)
+        results: List[Any] = [None] * n
+        latencies: List[float] = []
+        keys: Optional[List[bytes]] = None
+        misses = list(range(n))
+        if self.cache.maxsize:
+            keys = PredictionCache.make_keys(method, version, rows)
+            misses = []
+            for index, (hit, value) in enumerate(self.cache.get_many(keys)):
+                if hit:
+                    results[index] = value
+                else:
+                    misses.append(index)
+            hits = n - len(misses)
+            if hits:
+                span.event("cache_hit", rows=hits)
+                self.metrics.counter("serve/cache_hits_total").inc(hits)
+                latencies.extend([clock() - start] * hits)
+            if misses:
+                span.event("cache_miss", rows=len(misses))
+                self.metrics.counter("serve/cache_misses_total").inc(
+                    len(misses)
+                )
+
+        size = self._batcher.max_batch_size
+        blocks: List[Tuple[List[int], ServeRequest]] = []
+        for lo in range(0, len(misses), size):
+            index = misses[lo:lo + size]
+            block = rows[lo:lo + size] if len(misses) == n else rows[index]
+            # Per-block context copies: a shared Context object cannot
+            # be entered by two dispatching workers at once.
+            blocks.append((index, ServeRequest(
+                method, block, enqueued_at=start,
+                context=self._capture_context(),
+            )))
+        accepted = 0
+        if blocks:
+            accepted = self._batcher.submit_many(
+                [request for _index, request in blocks]
+            )
+            self._gauge_depth()
+
+        def block_keys(index: List[int]) -> Optional[List[bytes]]:
+            return None if keys is None else [keys[i] for i in index]
+
+        def answer(index: List[int], values: Sequence[Any]) -> None:
+            for i, value in zip(index, values):
+                results[i] = value
+            latencies.extend([clock() - start] * len(index))
+
+        try:
+            shed = blocks[accepted:]
+            if shed:
+                # Bounded-queue backpressure: serve inline rather than grow.
+                shed_rows = sum(len(index) for index, _request in shed)
+                span.event("shed", reason="queue_full", rows=shed_rows)
+                self.metrics.counter("serve/shed_total").inc(shed_rows)
+            for index, request in shed:
+                answer(index, self._predict_inline(
+                    method, request.rows, model, block_keys(index)
+                ))
+            for index, request in blocks[:accepted]:
+                if (
+                    not request.event.wait(timeout=deadline)
+                    and self._batcher.cancel(request)
+                ):
+                    # Deadline expired while queued: degrade to the
+                    # inline path so the caller still gets an answer.
+                    span.event("deadline_expired", rows=len(index))
+                    self.metrics.counter(
+                        "serve/deadline_expired_total"
+                    ).inc(len(index))
+                    answer(index, self._predict_inline(
+                        method, request.rows, model, block_keys(index)
+                    ))
+                    continue
+                # Done, or already being dispatched: moments away.
+                request.event.wait()
+                if request.error is None:
+                    answer(index, request.result)
+                    continue
+                try:
+                    values = self._rescue(
+                        request.error, request, model, block_keys(index)
+                    )
+                except BaseException:
+                    answer(index, ())
+                    raise
+                answer(index, values)
+        finally:
+            self.metrics.histogram("serve/latency_seconds").observe_many(
+                latencies
+            )
+        return results
+
+    def _dispatch(self, method: str, rows: np.ndarray) -> List[Any]:
         """Score a coalesced batch with a single model call.
 
-        Runs on a batcher worker thread; when the head request captured
+        Runs on a batcher worker thread; when the head block captured
         its submit-time context the worker restored it around this
         call, so the dispatch span parents to that request's span.
         Without a restored span (untraced or unsampled submitter) the
         dispatch is not traced — a parentless dispatch root would be an
         orphan trace no summary could attach to a request.
+
+        The results are cached under the version resolved *here*, not
+        the callers': a hot-swap between lookup and dispatch must never
+        file one version's answers under another's keys.
         """
         traced = tracing.current_span() is not None
         with (
@@ -443,100 +491,85 @@ class ModelServer:
             else contextlib.nullcontext()
         ):
             version, model = self._resolve()
-            batch = np.stack(rows)
             with self.metrics.timer("serve/dispatch_seconds"):
-                out = self._score(model, method, batch)
+                out = self._score(model, method, rows)
         self.metrics.counter("serve/batches_total").inc()
         self.metrics.histogram("serve/batch_size").observe(len(rows))
         self._gauge_depth()
         results = list(out)
         if self.cache.maxsize:
-            for row, result in zip(rows, results):
-                self._cache_put(
-                    PredictionCache.make_key(method, version, row), result
-                )
+            self._cache_put_many(
+                PredictionCache.make_keys(method, version, rows), results
+            )
         return results
 
-    def _cache_put(self, key: bytes, value: Any) -> None:
-        """Store a result, routing through cache chaos and degrading on error.
+    def _cache_put_many(self, keys: List[bytes], values: List[Any]) -> None:
+        """Store results, routing through cache chaos and degrading on error.
 
-        Under chaos the ``"cache"`` site may corrupt the stored bytes;
-        the poisoned copy is planted under the *honest* checksum
-        (:meth:`PredictionCache.put_poisoned`) so the next lookup
-        detects the mismatch and recomputes — the detectable-corruption
-        drill.  Any cache failure only costs the memoization, never the
-        request: errors are counted (``resilience/cache_errors_total``)
-        and swallowed.
+        Under chaos the ``"cache"`` site may corrupt each stored value;
+        the poisoned copies are planted under their *honest* checksums
+        (the ``originals`` of :meth:`PredictionCache.put_many`) so the
+        next lookup detects the mismatch and recomputes — the
+        detectable-corruption drill.  Any cache failure only costs the
+        memoization, never the request: errors are counted
+        (``resilience/cache_errors_total``) and swallowed.
         """
         try:
-            if self.fault_injector is not None:
-                checksum_value = value
-                stored = self.fault_injector.corrupt("cache", value)
-                if stored is not checksum_value and self.cache.integrity:
-                    # Plant the poisoned bytes *under the honest
-                    # checksum* so the next get() detects the mismatch —
-                    # the detectable-corruption drill.
-                    self.cache.put_poisoned(key, stored, checksum_value)
-                    return
-                value = stored
-            self.cache.put(key, value)
+            if self.fault_injector is None:
+                self.cache.put_many(keys, values)
+            else:
+                stored = [
+                    self.fault_injector.corrupt("cache", value)
+                    for value in values
+                ]
+                self.cache.put_many(keys, stored, originals=values)
         except Exception:
             self.metrics.counter("resilience/cache_errors_total").inc()
 
     def _predict_inline(
         self,
         method: str,
-        row: np.ndarray,
+        rows: np.ndarray,
         model: Any,
-        key: Optional[bytes],
-        start: float,
-    ) -> Any:
-        """Single-item sync path used for shedding and expired deadlines."""
-        with self._start_span("serve/inline_predict", method=method):
-            result = self._score(model, method, row[np.newaxis, ...])[0]
-        if key is not None:
-            self._cache_put(key, result)
-        self._observe_latency(self.metrics.clock() - start)
-        return result
+        keys: Optional[List[bytes]],
+    ) -> List[Any]:
+        """Row-by-row sync path for shed, expired and rescued blocks."""
+        with self._start_span(
+            "serve/inline_predict", method=method, rows=len(rows)
+        ):
+            values = [
+                self._score(model, method, row[np.newaxis, ...])[0]
+                for row in rows
+            ]
+        if keys is not None:
+            self._cache_put_many(keys, values)
+        return values
 
-    def _finish(self, request: ServeRequest, start: float) -> Any:
-        """Deliver a completed request's result (or rescue/raise its error).
+    def _rescue(
+        self,
+        error: BaseException,
+        request: ServeRequest,
+        model: Any,
+        keys: Optional[List[bytes]],
+    ) -> List[Any]:
+        """Answer a block whose batch failed with ``error``, or re-raise it.
 
-        A request whose coalesced batch failed even after the dispatch
-        retries is, under ``rescue_batch_errors``, re-scored alone on
-        the caller's thread (``serve/rescued_total``) — one poisoned row
-        can fail a batch, but it should not fail its 31 neighbours.
+        A block whose coalesced batch failed even after the dispatch
+        retries is, under ``rescue_batch_errors``, re-scored row by row
+        on the caller's thread (``serve/rescued_total``) — one poisoned
+        row can fail a batch, but it should not fail its 31 neighbours.
         :class:`ServerClosed` is never rescued; shutdown is not a fault.
         """
-        if request.error is not None:
-            policy = self.resilience
-            if (
-                policy is not None
-                and policy.rescue_batch_errors
-                and not isinstance(request.error, ServerClosed)
-            ):
-                add_event(
-                    "row_rescue", error=type(request.error).__name__
-                )
-                self.metrics.counter("serve/rescued_total").inc()
-                version, model = self._resolve()
-                key = (
-                    PredictionCache.make_key(
-                        request.method, version, request.row
-                    )
-                    if self.cache.maxsize
-                    else None
-                )
-                return self._predict_inline(
-                    request.method, request.row, model, key, start
-                )
-            self._observe_latency(self.metrics.clock() - start)
-            raise request.error
-        self._observe_latency(self.metrics.clock() - start)
-        return request.result
-
-    def _observe_latency(self, seconds: float) -> None:
-        self.metrics.histogram("serve/latency_seconds").observe(seconds)
+        policy = self.resilience
+        if (
+            policy is None
+            or not policy.rescue_batch_errors
+            or isinstance(error, ServerClosed)
+        ):
+            raise error
+        add_event("row_rescue", error=type(error).__name__, rows=len(request))
+        self.metrics.counter("serve/rescued_total").inc(len(request))
+        return self._predict_inline(request.method, request.rows, model, keys)
 
     def _gauge_depth(self) -> None:
         self.metrics.gauge("serve/queue_depth").set(self._batcher.depth())

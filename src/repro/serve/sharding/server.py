@@ -41,7 +41,7 @@ import contextvars
 import threading
 from collections import defaultdict
 from types import TracebackType
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -262,140 +262,181 @@ class ShardedModelServer:
         cancels and answers inline, and a batch stranded by a worker
         death is rescued inline — the caller always gets an answer.
         """
-        clock = self.metrics.clock
-        start = clock()
+        start = self.metrics.clock()
         if self.closed:
             raise ServerClosed()
         with self._start_span("serve/request", method=method) as span:
-            row = self._normalize_row(row)
-            if method not in self._out_widths:
-                raise ValueError(
-                    f"model {self._fallback_type_name()} does not "
-                    f"support {method!r}"
-                )
-            version = self._current_version()
-            span.set_attribute("version", version)
-            self.metrics.counter("serve/requests_total").inc()
-
-            key = None
-            if self.cache.maxsize:
-                key = PredictionCache.make_key(method, version, row)
-                hit, value = self.cache.get(key)
-                if hit:
-                    span.event("cache_hit")
-                    self.metrics.counter("serve/cache_hits_total").inc()
-                    self._observe_latency(clock() - start)
-                    return value
-                span.event("cache_miss")
-                self.metrics.counter("serve/cache_misses_total").inc()
-
-            shard = self._route(method, row)
-            span.set_attribute("shard", shard)
-            pending = ServeRequest(
-                method, row, enqueued_at=start,
-                context=self._capture_context(),
-            )
-            if not self._batchers[shard].submit(pending):
-                span.event("shed", reason="queue_full", shard=shard)
-                self.metrics.counter("serve/shed_total").inc()
-                return self._predict_inline(method, row, key, start)
-            self._gauge_depth()
-
-            if pending.event.wait(timeout=deadline):
-                return self._finish(pending, start)
-            if self._batchers[shard].cancel(pending):
-                span.event("deadline_expired", shard=shard)
-                self.metrics.counter("serve/deadline_expired_total").inc()
-                return self._predict_inline(method, row, key, start)
-            pending.event.wait()
-            return self._finish(pending, start)
+            block = self._normalize_row(row)
+            return self._serve(span, method, block, start, deadline)[0]
 
     def predict_many(
         self, x: np.ndarray, method: str = "predict"
     ) -> List[Any]:
-        """Submit every row of ``x`` concurrently across the fleet.
+        """Score every row of ``x`` across the fleet, in row order.
 
-        Rows are partitioned by ring assignment and bulk-enqueued per
-        shard; results come back in row order.  Rows a full shard queue
-        rejects are shed to the inline path, rows stranded by a worker
-        death are rescued inline — every row is answered.
+        Rows are keyed and looked up in one pass, partitioned by ring
+        assignment, and each shard's bucket is queued as blocks of at
+        most ``max_batch_size`` rows.  Blocks a full shard queue rejects
+        are shed to the inline path, blocks stranded by a worker death
+        are rescued inline — every row is answered.
         """
+        start = self.metrics.clock()
         if self.closed:
             raise ServerClosed()
-        clock = self.metrics.clock
         with self._start_span(
             "serve/predict_many", method=method, rows=len(x)
         ) as span:
-            if method not in self._out_widths:
-                raise ValueError(
-                    f"model {self._fallback_type_name()} does not "
-                    f"support {method!r}"
-                )
-            version = self._current_version()
-            span.set_attribute("version", version)
-            caching = bool(self.cache.maxsize)
-            requests_total = self.metrics.counter("serve/requests_total")
-            results: List[Any] = [None] * len(x)
-            buckets: Dict[int, List[Tuple[int, ServeRequest]]] = (
-                defaultdict(list)
+            return self._serve(span, method, self._normalize_rows(x), start)
+
+    def _serve(
+        self,
+        span: Any,
+        method: str,
+        rows: np.ndarray,
+        start: float,
+        deadline: Optional[float] = None,
+    ) -> List[Any]:
+        """Answer an ``(n, n_features)`` block; the request lifecycle.
+
+        As :meth:`repro.serve.server.ModelServer._serve`, with the cache
+        misses bucketed by ring shard before they are cut into blocks.
+        Counters move once per call, in rows.
+        """
+        if method not in self._out_widths:
+            raise ValueError(
+                f"model {self._fallback_type_name()} does not "
+                f"support {method!r}"
             )
-            for index, raw_row in enumerate(x):
-                start = clock()
-                row = self._normalize_row(raw_row)
-                requests_total.inc()
-                if caching:
-                    key = PredictionCache.make_key(method, version, row)
-                    hit, value = self.cache.get(key)
-                    if hit:
-                        self.metrics.counter("serve/cache_hits_total").inc()
-                        self._observe_latency(clock() - start)
-                        results[index] = value
-                        continue
-                    self.metrics.counter("serve/cache_misses_total").inc()
-                shard = self._route(method, row)
-                buckets[shard].append(
-                    (index,
-                     ServeRequest(method, row, enqueued_at=start,
-                                  context=self._capture_context()))
+        self._current_version()  # hot-swaps the fleet if the registry moved
+        with self._swap_lock:
+            version, fallback = self._version, self._fallback
+        span.set_attribute("version", version)
+        clock = self.metrics.clock
+        n = len(rows)
+        self.metrics.counter("serve/requests_total").inc(n)
+        results: List[Any] = [None] * n
+        latencies: List[float] = []
+        keys: Optional[List[bytes]] = None
+        misses = list(range(n))
+        if self.cache.maxsize:
+            keys = PredictionCache.make_keys(method, version, rows)
+            misses = []
+            for index, (hit, value) in enumerate(self.cache.get_many(keys)):
+                if hit:
+                    results[index] = value
+                else:
+                    misses.append(index)
+            hits = n - len(misses)
+            if hits:
+                span.event("cache_hit", rows=hits)
+                self.metrics.counter("serve/cache_hits_total").inc(hits)
+                latencies.extend([clock() - start] * hits)
+            if misses:
+                span.event("cache_miss", rows=len(misses))
+                self.metrics.counter("serve/cache_misses_total").inc(
+                    len(misses)
                 )
-            waiting: List[Tuple[int, ServeRequest]] = []
-            for shard, pairs in buckets.items():
-                accepted = self._batchers[shard].submit_many(
-                    [request for _index, request in pairs]
+
+        buckets: Dict[int, List[int]] = defaultdict(list)
+        if misses:
+            routable = self._routable()
+            for index in misses:
+                shard = self._route(method, rows[index], routable)
+                buckets[shard].append(index)
+        if len(buckets) == 1:
+            span.set_attribute("shard", next(iter(buckets)))
+        shed: List[Tuple[List[int], ServeRequest]] = []
+        waiting: List[Tuple[int, List[int], ServeRequest]] = []
+        for shard, members in buckets.items():
+            batcher = self._batchers[shard]
+            size = batcher.max_batch_size
+            blocks: List[Tuple[List[int], ServeRequest]] = []
+            for lo in range(0, len(members), size):
+                index = members[lo:lo + size]
+                blocks.append((index, ServeRequest(
+                    method, rows[index], enqueued_at=start,
+                    context=self._capture_context(),
+                )))
+            accepted = batcher.submit_many(
+                [request for _index, request in blocks]
+            )
+            if accepted < len(blocks):
+                shed_rows = sum(len(index) for index, _r in blocks[accepted:])
+                span.event(
+                    "shed", reason="queue_full", shard=shard, rows=shed_rows,
                 )
-                if accepted < len(pairs):
-                    span.event(
-                        "shed", reason="queue_full", shard=shard,
-                        rows=len(pairs) - accepted,
-                    )
-                for index, request in pairs[accepted:]:
-                    self.metrics.counter("serve/shed_total").inc()
-                    key = (
-                        PredictionCache.make_key(method, version, request.row)
-                        if caching else None
-                    )
-                    results[index] = self._predict_inline(
-                        method, request.row, key, request.enqueued_at
-                    )
-                waiting.extend(pairs[:accepted])
+                self.metrics.counter("serve/shed_total").inc(shed_rows)
+                shed.extend(blocks[accepted:])
+            waiting.extend(
+                (shard, index, request) for index, request in blocks[:accepted]
+            )
+        if buckets:
             self._gauge_depth()
-            for index, request in waiting:
+
+        def block_keys(index: List[int]) -> Optional[List[bytes]]:
+            return None if keys is None else [keys[i] for i in index]
+
+        def answer(index: List[int], values: Sequence[Any]) -> None:
+            for i, value in zip(index, values):
+                results[i] = value
+            latencies.extend([clock() - start] * len(index))
+
+        try:
+            for index, request in shed:
+                answer(index, self._predict_inline(
+                    method, request.rows, fallback, block_keys(index)
+                ))
+            for shard, index, request in waiting:
+                if (
+                    not request.event.wait(timeout=deadline)
+                    and self._batchers[shard].cancel(request)
+                ):
+                    span.event(
+                        "deadline_expired", shard=shard, rows=len(index)
+                    )
+                    self.metrics.counter(
+                        "serve/deadline_expired_total"
+                    ).inc(len(index))
+                    answer(index, self._predict_inline(
+                        method, request.rows, fallback, block_keys(index)
+                    ))
+                    continue
                 request.event.wait()
-                results[index] = self._finish(request, request.enqueued_at)
-            return results
+                if request.error is None:
+                    answer(index, request.result)
+                    continue
+                try:
+                    values = self._rescue(
+                        request.error, request, fallback, block_keys(index)
+                    )
+                except BaseException:
+                    answer(index, ())
+                    raise
+                answer(index, values)
+        finally:
+            self.metrics.histogram("serve/latency_seconds").observe_many(
+                latencies
+            )
+        return results
 
     # ------------------------------------------------------------------
     # Routing / version management
     # ------------------------------------------------------------------
-    def _route(self, method: str, row: np.ndarray) -> int:
-        """Ring-route a request, skipping dead or breaker-open shards."""
+    def _routable(self) -> List[bool]:
+        """Per-shard mask of shards a request may route to right now."""
         alive = self.supervisor.alive_mask()
-        routable = [
+        return [
             alive[i] and self._breakers[i].state != "open"
             for i in range(len(alive))
         ]
-        key = routing_key(method, np.ascontiguousarray(row).tobytes())
-        return self.ring.route(key, alive=routable)
+
+    def _route(
+        self, method: str, row: np.ndarray, routable: List[bool]
+    ) -> int:
+        """Ring-route one row, skipping dead or breaker-open shards."""
+        return self.ring.route(
+            routing_key(method, row.tobytes()), alive=routable
+        )
 
     def _current_version(self) -> str:
         """Serving version; triggers hot-swap when the registry moved on."""
@@ -439,20 +480,20 @@ class ShardedModelServer:
     # ------------------------------------------------------------------
     def _make_dispatch(self, shard_id: int) -> Any:
         """Bind ``shard_id`` into a MicroBatcher dispatch callable."""
-        def dispatch(method: str, rows: List[np.ndarray]) -> List[Any]:
+        def dispatch(method: str, rows: np.ndarray) -> List[Any]:
             return self._shard_dispatch(shard_id, method, rows)
         return dispatch
 
     def _shard_dispatch(
-        self, shard_id: int, method: str, rows: List[np.ndarray]
+        self, shard_id: int, method: str, rows: np.ndarray
     ) -> List[Any]:
         """Score one coalesced batch on shard ``shard_id``'s worker.
 
         Runs on that shard's dispatcher thread.  A dead worker raises
         :class:`~repro.serve.sharding.shm.ShardDead` through the
         breaker (tripping it), triggers an eager respawn, and the
-        batcher delivers the error to every waiter — whose ``_finish``
-        rescues each row inline.
+        batcher delivers the error to every waiting block — which
+        ``_rescue`` answers row by row inline.
         """
         traced = tracing.current_span() is not None
         with (
@@ -464,7 +505,7 @@ class ShardedModelServer:
             else contextlib.nullcontext()
         ) as span:
             handle = self.supervisor.handles[shard_id]
-            batch = np.ascontiguousarray(np.stack(rows), dtype=np.float64)
+            batch = np.ascontiguousarray(rows, dtype=np.float64)
             try:
                 with self.metrics.timer("serve/dispatch_seconds"):
                     with self.metrics.timer(
@@ -497,71 +538,62 @@ class ShardedModelServer:
         self._gauge_depth()
         values = [result.row_value(i) for i in range(len(rows))]
         if self.cache.maxsize:
-            for row, value in zip(rows, values):
-                try:
-                    self.cache.put(
-                        PredictionCache.make_key(
-                            method, result.version, row
-                        ),
-                        value,
-                    )
-                except Exception:
-                    self.metrics.counter(
-                        "resilience/cache_errors_total"
-                    ).inc()
+            # Keyed under the version the worker scored with.
+            self._cache_put_many(
+                PredictionCache.make_keys(method, result.version, batch),
+                values,
+            )
         return values
+
+    def _cache_put_many(self, keys: List[bytes], values: List[Any]) -> None:
+        """Store results; a cache failure only costs the memoization."""
+        try:
+            self.cache.put_many(keys, values)
+        except Exception:
+            self.metrics.counter("resilience/cache_errors_total").inc()
 
     def _predict_inline(
         self,
         method: str,
-        row: np.ndarray,
-        key: Optional[bytes],
-        start: float,
-    ) -> Any:
-        """Parent-side single-row path: shed, expired and rescued requests.
+        rows: np.ndarray,
+        model: Any,
+        keys: Optional[List[bytes]],
+    ) -> List[Any]:
+        """Parent-side row-by-row path: shed, expired and rescued blocks.
 
-        Scores on the parent's own snapshot of the current version —
+        Scores on the parent's own snapshot of the caller's version —
         the guarantee that no request is ever dropped, even with the
         whole fleet dead mid-respawn.
         """
-        with self._start_span("serve/inline_predict", method=method):
-            with self._swap_lock:
-                bound = getattr(self._fallback, method)
+        with self._start_span(
+            "serve/inline_predict", method=method, rows=len(rows)
+        ):
+            bound = getattr(model, method)
             policy = self.resilience
-            if policy is not None:
-                out = policy.retry.call(bound, row[np.newaxis, ...])
-            else:
-                out = bound(row[np.newaxis, ...])
-            result = list(np.asarray(out))[0]
-        if key is not None:
-            try:
-                self.cache.put(key, result)
-            except Exception:
-                self.metrics.counter("resilience/cache_errors_total").inc()
-        self._observe_latency(self.metrics.clock() - start)
-        return result
+            values = []
+            for row in rows:
+                if policy is not None:
+                    out = policy.retry.call(bound, row[np.newaxis, ...])
+                else:
+                    out = bound(row[np.newaxis, ...])
+                values.append(np.asarray(out)[0])
+        if keys is not None:
+            self._cache_put_many(keys, values)
+        return values
 
-    def _finish(self, request: ServeRequest, start: float) -> Any:
-        """Deliver a result, rescuing rows whose shard died mid-batch."""
-        if request.error is not None:
-            error = request.error
-            if isinstance(error, (ShardDead, ShardWorkerError, BreakerOpen)):
-                add_event("row_rescue", error=type(error).__name__)
-                self.metrics.counter("serve/rescued_total").inc()
-                key = (
-                    PredictionCache.make_key(
-                        request.method, self.version, request.row
-                    )
-                    if self.cache.maxsize
-                    else None
-                )
-                return self._predict_inline(
-                    request.method, request.row, key, start
-                )
-            self._observe_latency(self.metrics.clock() - start)
+    def _rescue(
+        self,
+        error: BaseException,
+        request: ServeRequest,
+        model: Any,
+        keys: Optional[List[bytes]],
+    ) -> List[Any]:
+        """Answer a block whose shard died mid-batch, or re-raise ``error``."""
+        if not isinstance(error, (ShardDead, ShardWorkerError, BreakerOpen)):
             raise error
-        self._observe_latency(self.metrics.clock() - start)
-        return request.result
+        add_event("row_rescue", error=type(error).__name__, rows=len(request))
+        self.metrics.counter("serve/rescued_total").inc(len(request))
+        return self._predict_inline(request.method, request.rows, model, keys)
 
     # ------------------------------------------------------------------
     # Shared helpers (parity with ModelServer)
@@ -580,19 +612,23 @@ class ShardedModelServer:
         return None
 
     def _normalize_row(self, row: np.ndarray) -> np.ndarray:
-        """Squeeze a length-1 batch axis and cast to the slab dtype."""
+        """One sample as a one-row block (a length-1 batch axis squeezed)."""
         row = np.asarray(row)
         if row.ndim >= 2 and row.shape[0] == 1:
             row = row[0]
-        row = np.ascontiguousarray(row, dtype=np.float64)
-        if row.shape != (self.n_features,):
-            raise ValueError(
-                f"expected a ({self.n_features},) row, got {row.shape}"
-            )
-        return row
+        return self._normalize_rows(row[np.newaxis, ...])
 
-    def _observe_latency(self, seconds: float) -> None:
-        self.metrics.histogram("serve/latency_seconds").observe(seconds)
+    def _normalize_rows(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a contiguous float64 ``(n, n_features)`` slab block."""
+        rows = np.asarray(x)
+        if rows.ndim >= 3 and rows.shape[1] == 1:
+            rows = rows[:, 0]
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        if len(rows) and rows.shape[1:] != (self.n_features,):
+            raise ValueError(
+                f"expected a ({self.n_features},) row, got {rows.shape[1:]}"
+            )
+        return rows
 
     def _gauge_depth(self) -> None:
         depth = sum(batcher.depth() for batcher in self._batchers)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 __all__ = [
     "Counter",
@@ -97,6 +97,10 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Append one sample to the distribution."""
         self.values.append(float(value))
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """Append a batch of samples in one step (e.g. one per served row)."""
+        self.values.extend([float(value) for value in values])
 
     @property
     def count(self) -> int:

@@ -66,8 +66,8 @@ _SERVE_ENTRY_POINTS = frozenset(
 # Continuous-learning entry points: the train/publish/shadow/promote
 # surface whose span events make the decision history reconstructable.
 _ONLINE_ENTRY_POINTS = frozenset(
-    {"partial_fit", "publish", "maybe_publish", "observe", "decide",
-     "step", "run"}
+    {"partial_fit", "publish", "maybe_publish", "observe", "observe_many",
+     "decide", "step", "run"}
 )
 
 

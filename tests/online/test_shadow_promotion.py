@@ -1,5 +1,7 @@
 """ShadowEvaluator mirroring and the PromotionPolicy decision rules."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,50 @@ class TestShadowEvaluator:
         counts = {mirrored_count(seed) for seed in (1, 2, 3, 4, 5)}
         # Not all seeds land on the same subset size.
         assert 0 < min(counts) and max(counts) < 50
+
+    def test_observe_many_matches_an_observe_loop(self):
+        def evaluator():
+            registry = make_registry()
+            live = constant_model(sign=1.0)
+            registry.publish("shadowed", live, activate=True)
+            other = LogisticRegression(4, weight_init_std=0.0)
+            other.weights[1] = 10.0  # splits on another feature
+            shadow = ShadowEvaluator(
+                registry, "shadowed", fraction=0.5, seed=11
+            )
+            shadow.set_candidate(registry.publish("shadowed", other))
+            return live, shadow
+
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(64, 4))
+        labels = (x[:, 0] > 0).astype(int)
+        live, looped = evaluator()
+        _live, blocked = evaluator()
+        served = list(live.predict(x))
+        one_by_one = [
+            looped.observe(row, prediction, label=label)
+            for row, prediction, label in zip(x, served, labels)
+        ]
+        in_blocks = blocked.observe_many(
+            x[:32], served[:32], labels=labels[:32]
+        ) + blocked.observe_many(x[32:], served[32:], labels=labels[32:])
+        assert one_by_one == in_blocks
+        assert any(v is None for v in in_blocks)
+        assert any(v is not None for v in in_blocks)
+
+        def without_latency(window):
+            return dataclasses.replace(
+                window, live_latency_mean=0.0, candidate_latency_mean=0.0
+            )
+
+        window = blocked.report()
+        assert without_latency(window) == without_latency(looped.report())
+        assert 0.0 < window.agreement < 1.0
+        assert window.candidate_accuracy < window.live_accuracy
+        assert (
+            blocked.metrics.snapshot()["counters"]
+            == looped.metrics.snapshot()["counters"]
+        )
 
     def test_new_candidate_resets_window(self):
         registry = make_registry()

@@ -1,5 +1,7 @@
 """Micro-batching equivalence, caching, backpressure and lifecycle."""
 
+import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,7 +9,14 @@ import numpy as np
 import pytest
 
 from repro.linear.logistic import LogisticRegression
-from repro.serve import MicroBatcher, ModelRegistry, ModelServer, PredictionCache
+from repro.serve import (
+    MicroBatcher,
+    ModelRegistry,
+    ModelServer,
+    PredictionCache,
+    ResiliencePolicy,
+    RetryPolicy,
+)
 
 D = 12
 
@@ -94,6 +103,18 @@ def test_unsupported_method_rejected(model, x):
             server.request("decision_boundary", x[0])
 
 
+def test_predict_many_rejects_unsupported_method_before_counting(model, x):
+    # Like request(): refused up front, so no row is counted as a
+    # request (or a cache miss) that no path will ever account for.
+    with ModelServer(model=model) as server:
+        server.predict(x[0])
+        counters = server.stats()["metrics"]["counters"]
+        with pytest.raises(ValueError, match="does not support"):
+            server.predict_many(x[:4], method="decision_boundary")
+        assert server.stats()["metrics"]["counters"] == counters
+        assert counters["serve/requests_total"] == 1
+
+
 # ----------------------------------------------------------------------
 # Prediction cache
 # ----------------------------------------------------------------------
@@ -125,6 +146,47 @@ def test_cache_lru_eviction():
     assert cache.get(keys[1]) == (False, None)
     assert cache.get(keys[0]) == (True, 0)
     assert len(cache) == 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.random.default_rng(2).normal(size=(5, 3)),
+        np.random.default_rng(2).normal(size=(5, 3)).astype(np.float32),
+        np.arange(15, dtype=np.int64).reshape(5, 3),
+        np.arange(5, dtype=np.float64),  # 0-d rows
+    ],
+    ids=["float64", "float32", "int64", "0-d"],
+)
+def test_make_keys_equal_make_key_row_by_row(rows):
+    keys = PredictionCache.make_keys("predict", "v1", rows)
+    assert keys == [
+        PredictionCache.make_key("predict", "v1", row) for row in rows
+    ]
+    assert len(set(keys)) == len(rows)
+
+
+def test_keys_separate_method_version_dtype_and_shape():
+    row = np.array([1.0])
+    key = PredictionCache.make_key("predict", "v1", row)
+    assert key != PredictionCache.make_key("predict_proba", "v1", row)
+    assert key != PredictionCache.make_key("predict", "v2", row)
+    assert PredictionCache.make_key("ab", "c", row) != (
+        PredictionCache.make_key("a", "bc", row)
+    )
+    # Identical bytes, different dtype.
+    as_int = row.view(np.int64)
+    assert as_int.tobytes() == row.tobytes()
+    assert key != PredictionCache.make_key("predict", "v1", as_int)
+    # Identical bytes, different dtype and shape.
+    narrow, wide = np.zeros(2, np.float32), np.zeros(1)
+    assert narrow.tobytes() == wide.tobytes()
+    assert PredictionCache.make_key("predict", "v1", narrow) != (
+        PredictionCache.make_key("predict", "v1", wide)
+    )
+    assert PredictionCache.make_keys(
+        "predict", "v1", np.zeros((3, 2), np.float32)
+    ) != PredictionCache.make_keys("predict", "v1", np.zeros((3, 1)))
 
 
 def test_hot_swap_invalidates_cache_by_key():
@@ -182,6 +244,200 @@ def test_queue_bound_is_respected():
     for request in requests[:accepted]:
         request.event.wait(timeout=5.0)
     batcher.close()
+
+
+def test_batcher_counts_rows_and_coalesces_whole_blocks():
+    from repro.serve.batching import ServeRequest
+
+    entered, release = threading.Event(), threading.Event()
+    sizes = []
+
+    def dispatch(method, rows):
+        entered.set()
+        release.wait(timeout=5.0)
+        sizes.append(len(rows))
+        return rows[:, 0]
+
+    batcher = MicroBatcher(
+        dispatch, max_batch_size=8, batch_timeout=0.0, max_queue=20, workers=1
+    )
+    assert batcher.submit(ServeRequest("predict", np.zeros((1, 2)), 0.0))
+    assert entered.wait(timeout=5.0)  # the worker is busy from here on
+    blocks = [
+        ServeRequest("predict", np.full((n, 2), float(i)), 0.0)
+        for i, n in enumerate([5, 3, 4, 6], start=1)
+    ]
+    assert batcher.submit_many(blocks) == 4
+    assert batcher.depth() == 18  # queued rows, not blocks
+    # A block that would overflow the 20-row bound is refused whole.
+    assert not batcher.submit(ServeRequest("predict", np.zeros((3, 2)), 0.0))
+    with pytest.raises(ValueError, match="max_batch_size"):
+        batcher.submit(ServeRequest("predict", np.zeros((9, 2)), 0.0))
+    release.set()
+    for block in blocks:
+        assert block.event.wait(timeout=5.0)
+    batcher.close()
+    # 5 + 3 fill one batch; 4 + 6 would overflow it, so they go apart.
+    assert sizes == [1, 8, 4, 6]
+    for i, block in enumerate(blocks, start=1):
+        assert list(block.result) == [float(i)] * len(block)
+    assert batcher.depth() == 0
+
+
+def test_batcher_dispatches_at_once_when_the_next_block_cannot_join():
+    from repro.serve.batching import ServeRequest
+
+    def dispatch(method, rows):
+        return rows[:, 0]
+
+    batcher = MicroBatcher(
+        dispatch, max_batch_size=8, batch_timeout=5.0, max_queue=32, workers=1
+    )
+    first = ServeRequest("predict", np.zeros((5, 1)), 0.0)
+    assert batcher.submit(first)
+    time.sleep(0.05)  # the worker holds 5 rows and waits for stragglers
+    start = time.monotonic()
+    # 5 + 6 rows overflow the batch: waiting longer cannot fill it.
+    assert batcher.submit(ServeRequest("predict", np.ones((6, 1)), 0.0))
+    assert first.event.wait(timeout=2.0)
+    assert time.monotonic() - start < 2.0
+    batcher.close()
+
+
+def test_batcher_row_count_exact_under_concurrent_producers():
+    from repro.serve.batching import ServeRequest
+
+    lock = threading.Lock()
+    dispatched, answered, depths, errors = [], [], [], []
+
+    def dispatch(method, rows):
+        with lock:
+            dispatched.append(len(rows))
+        return rows[:, 0]
+
+    def producer(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(150):
+                blocks = [
+                    ServeRequest(
+                        "predict",
+                        np.full((int(rng.integers(1, 9)), 1), float(seed)),
+                        0.0,
+                    )
+                    for _ in range(int(rng.integers(1, 4)))
+                ]
+                taken = blocks[:batcher.submit_many(blocks)]
+                kept = [
+                    block for block in taken
+                    if rng.random() >= 0.2 or not batcher.cancel(block)
+                ]
+                depths.append(batcher.depth())
+                for block in kept:
+                    if not block.event.wait(timeout=5.0):
+                        raise AssertionError("block never answered")
+                    if not np.array_equal(block.result, block.rows[:, 0]):
+                        raise AssertionError("block got another's rows")
+                with lock:
+                    answered.append(sum(len(block) for block in kept))
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        batcher = MicroBatcher(
+            dispatch, max_batch_size=8, batch_timeout=0.0, max_queue=24,
+            workers=3,
+        )
+        threads = [
+            threading.Thread(target=producer, args=(seed,))
+            for seed in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+        batcher.close()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    # A lost update to the queued-row count would leave it off zero or
+    # let the queue overrun its bound.
+    assert batcher.depth() == 0
+    assert max(depths) <= 24
+    assert max(dispatched) <= 8
+    assert sum(dispatched) == sum(answered)
+
+
+def _accounted(stats):
+    """Rows answered by each path; sums to the requests (CLI identity)."""
+    counters = stats["metrics"]["counters"]
+    return (
+        counters.get("serve/cache_hits_total", 0.0)
+        + stats["shed"]
+        + stats["deadline_expired"]
+        + stats["metrics"]["histograms"]["serve/batch_size"].get("sum", 0.0)
+        + stats["rescued"]
+    )
+
+
+def test_predict_many_queues_row_blocks_and_counts_rows(model, x):
+    rows = x[:40]
+    server = ModelServer(
+        model=SlowModel(model, delay=0.01), max_batch_size=8, max_queue=16,
+        workers=1, batch_timeout=0.0,
+    )
+    with server:
+        for row in rows[[3, 17, 29]]:
+            server.predict(row)  # already cached when the block arrives
+        server.metrics.reset()
+        got = server.predict_many(rows)
+        stats = server.stats()
+        depth = server.health()["queue_depth"]
+    counters = stats["metrics"]["counters"]
+    histograms = stats["metrics"]["histograms"]
+    assert np.array_equal(np.array(got), model.predict(rows))
+    assert counters["serve/requests_total"] == 40
+    assert counters["serve/cache_hits_total"] == 3
+    # 37 misses queue as blocks of 8, 8, 8, 8, 5; the 16-row queue takes
+    # the first two and the other 21 rows are shed inline.
+    assert stats["shed"] == 21
+    assert histograms["serve/batch_size"]["sum"] == 16
+    assert histograms["serve/batch_size"]["max"] <= 8
+    assert _accounted(stats) == 40
+    assert histograms["serve/latency_seconds"]["count"] == 40
+    assert depth == 0
+    assert stats["metrics"]["gauges"]["serve/queue_depth"] == 0
+
+
+def test_failed_block_is_rescued_and_counted_in_rows(model, x):
+    class FailsOneCall:
+        """Fails the first batched call; every other call succeeds."""
+
+        def __init__(self, inner):
+            self.inner = inner
+            self.failed = False
+
+        def predict(self, batch):
+            if len(batch) > 1 and not self.failed:
+                self.failed = True
+                raise RuntimeError("one bad batch")
+            return self.inner.predict(batch)
+
+    server = ModelServer(
+        model=FailsOneCall(model), max_batch_size=8, max_queue=16,
+        workers=1, batch_timeout=0.0, cache_size=0,
+        resilience=ResiliencePolicy(retry=RetryPolicy(max_attempts=1)),
+    )
+    with server:
+        got = server.predict_many(x[:24])
+        stats = server.stats()
+    assert np.array_equal(np.array(got), model.predict(x[:24]))
+    assert stats["rescued"] == 8  # the failed block's rows
+    assert stats["shed"] == 8
+    assert _accounted(stats) == stats["requests"] == 24
 
 
 def test_deadline_expiry_degrades_to_inline(model, x):
