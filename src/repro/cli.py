@@ -217,6 +217,10 @@ def _train_demo_model(seed: int = 0, fast: bool = False):
 def _cmd_serve(args) -> None:
     """Serve smoke test: publish, replay concurrent traffic, verify.
 
+    Checks labels bit-identical to the direct model, the per-path
+    request accounting identity, the health status and a clean
+    shutdown.  ``--shards N`` runs the same smoke on the sharded tier
+    (N worker processes) and also checks that every shard is alive.
     With ``--chaos`` the replay runs under the seeded fault injector
     (model/registry errors and latency spikes, cache corruption) behind
     the default resilience policy — the smoke then additionally asserts
@@ -232,8 +236,14 @@ def _cmd_serve(args) -> None:
         ModelServer,
         ResiliencePolicy,
         RetryPolicy,
+        ShardedModelServer,
     )
 
+    if args.shards > 0 and args.chaos:
+        print("--chaos is not supported with --shards (use "
+              "'loadgen --kill-shard' for the sharded chaos drill)",
+              file=sys.stderr)
+        raise SystemExit(2)
     n_requests = args.requests
     model, x = _train_demo_model(fast=args.fast)
     rows = x[np.arange(n_requests) % x.shape[0]]
@@ -283,15 +293,25 @@ def _cmd_serve(args) -> None:
         print(f"chaos enabled (seed={args.chaos_seed}): "
               "10% errors, 5% latency spikes, 10% cache corruption")
 
-    server = ModelServer(
-        registry=registry,
-        name=args.name,
-        max_batch_size=args.max_batch,
-        workers=args.serve_workers,
-        resilience=resilience,
-        fault_injector=injector,
-        tracer=tracer,
-    )
+    server: ModelServer
+    if args.shards > 0:
+        server = ShardedModelServer(
+            registry=registry,
+            name=args.name,
+            n_shards=args.shards,
+            max_batch_size=args.max_batch,
+            tracer=tracer,
+        )
+    else:
+        server = ModelServer(
+            registry=registry,
+            name=args.name,
+            max_batch_size=args.max_batch,
+            workers=args.serve_workers,
+            resilience=resilience,
+            fault_injector=injector,
+            tracer=tracer,
+        )
     metrics_server = None
     if args.metrics_port is not None:
         metrics_server = MetricsServer(
@@ -338,7 +358,7 @@ def _cmd_serve(args) -> None:
     counters = stats["metrics"]["counters"]
     # Every request is answered by exactly one path: cache hit, shed to
     # inline, deadline-expired to inline, a row of a dispatched batch,
-    # or (under chaos) a rescue of a failed batch's row.
+    # or a rescue of a failed batch's row (under chaos, or a dead shard).
     accounted = (
         counters.get("serve/cache_hits_total", 0.0)
         + stats["shed"]
@@ -352,16 +372,31 @@ def _cmd_serve(args) -> None:
         )
     if health["status"] not in ("ok", "degraded"):
         failures.append(f"unexpected health status {health['status']!r}")
+    if args.shards > 0 and health["alive_shards"] != args.shards:
+        failures.append(
+            f"alive_shards={health['alive_shards']} != {args.shards}"
+        )
     if not server.closed:
         failures.append("server did not shut down cleanly")
 
     print(f"requests={stats['requests']:.0f} batches={stats['batches']:.0f} "
           f"mean_batch={stats['mean_batch_size']:.1f} "
-          f"shed={stats['shed']:.0f} "
+          f"shed={stats['shed']:.0f} rescued={stats['rescued']:.0f} "
           f"cache_hit_rate={stats['cache_hit_rate']:.2f}")
     if "latency_p50_ms" in stats:
         print(f"latency p50={stats['latency_p50_ms']:.3f}ms "
               f"p99={stats['latency_p99_ms']:.3f}ms")
+    if args.shards > 0:
+        print("shard split: " + ", ".join(
+            f"{shard}:{count:.0f}"
+            for shard, count in sorted(stats["shard_requests"].items())
+        ))
+        for status in health["shards"]:
+            print(f"  shard {status['shard']}: alive={status['alive']} "
+                  f"version={status['active_version']} "
+                  f"queue={status['queue_depth']} "
+                  f"breaker={status['breaker']} "
+                  f"respawns={status['respawns']}")
     if args.chaos:
         injected = sum(
             value for key, value in counters.items()
@@ -378,112 +413,6 @@ def _cmd_serve(args) -> None:
             print(f"serve smoke FAILED: {failure}", file=sys.stderr)
         raise SystemExit(1)
     print("serve smoke test OK")
-
-
-def _cmd_serve_sharded(args) -> None:
-    """Sharded serve smoke: replay traffic over N worker processes.
-
-    Publishes the demo model, stands up a
-    :class:`~repro.serve.sharding.server.ShardedModelServer`, replays
-    concurrent traffic, then verifies bit-identical labels against the
-    direct model, the per-path request accounting identity, and a
-    healthy per-shard status report.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .linear.logistic import LogisticRegression
-    from .serve import ModelRegistry, ShardedModelServer
-
-    n_requests = args.requests
-    model, x = _train_demo_model(fast=args.fast)
-    rows = x[np.arange(n_requests) % x.shape[0]]
-    expected = model.predict(rows)
-
-    registry = ModelRegistry(args.registry)
-    registry.register(
-        args.name,
-        lambda: LogisticRegression(model.n_features, weight_init_std=0.0),
-    )
-    version = registry.publish(args.name, model)
-    print(f"published {args.name}:{version}")
-
-    tracer = None
-    exporter = None
-    if args.trace_out:
-        exporter = JsonlSpanExporter(path=args.trace_out)
-        tracer = Tracer(exporter=exporter, sample_rate=args.trace_sample)
-        print(f"tracing to {args.trace_out} "
-              f"(sample_rate={args.trace_sample})")
-
-    server = ShardedModelServer(
-        registry=registry,
-        name=args.name,
-        n_shards=args.shards,
-        max_batch_size=args.max_batch,
-        tracer=tracer,
-    )
-    metrics_server = None
-    if args.metrics_port is not None:
-        metrics_server = MetricsServer(
-            server.metrics, port=args.metrics_port,
-            extra={"/health": lambda: repr(server.health())},
-        )
-        print(f"metrics exposed at {metrics_server.url}")
-    with server, ThreadPoolExecutor(max_workers=16) as pool:
-        got = np.array(list(pool.map(server.predict, rows)))
-        health = server.health()
-        stats = server.stats()
-    if metrics_server is not None:
-        metrics_server.close()
-    if exporter is not None:
-        exporter.close()
-
-    failures = []
-    if not np.array_equal(got, expected):
-        failures.append("sharded predictions differ from direct predictions")
-    if stats["requests"] != n_requests:
-        failures.append(
-            f"requests_total={stats['requests']} != issued {n_requests}"
-        )
-    counters = stats["metrics"]["counters"]
-    accounted = (
-        counters.get("serve/cache_hits_total", 0.0)
-        + stats["shed"]
-        + counters.get("serve/deadline_expired_total", 0.0)
-        + stats["metrics"]["histograms"]["serve/batch_size"].get("sum", 0.0)
-        + stats["rescued"]
-    )
-    if accounted != n_requests:
-        failures.append(
-            f"request accounting mismatch: {accounted} != {n_requests}"
-        )
-    if health["status"] not in ("ok", "degraded"):
-        failures.append(f"unexpected health status {health['status']!r}")
-    if health["alive_shards"] != args.shards:
-        failures.append(
-            f"alive_shards={health['alive_shards']} != {args.shards}"
-        )
-
-    print(f"shards={args.shards} requests={stats['requests']:.0f} "
-          f"batches={stats['batches']:.0f} "
-          f"mean_batch={stats['mean_batch_size']:.1f} "
-          f"shed={stats['shed']:.0f} rescued={stats['rescued']:.0f} "
-          f"cache_hit_rate={stats['cache_hit_rate']:.2f}")
-    print("shard split: " + ", ".join(
-        f"{shard}:{count:.0f}"
-        for shard, count in sorted(stats["shard_requests"].items())
-    ))
-    for status in health["shards"]:
-        print(f"  shard {status['shard']}: alive={status['alive']} "
-              f"version={status['active_version']} "
-              f"queue={status['queue_depth']} "
-              f"breaker={status['breaker']} "
-              f"respawns={status['respawns']}")
-    if failures:
-        for failure in failures:
-            print(f"sharded serve smoke FAILED: {failure}", file=sys.stderr)
-        raise SystemExit(1)
-    print("sharded serve smoke test OK")
 
 
 def _cmd_loadgen(args) -> None:
@@ -797,21 +726,8 @@ def _cmd_trace(args) -> None:
         print(format_trace_tree(spans, trace_id))
 
 
-def _cmd_serve_dispatch(args) -> None:
-    """Route ``serve`` to the single-process or sharded smoke."""
-    if args.shards > 0:
-        if args.chaos:
-            print("--chaos is not supported with --shards (use "
-                  "'loadgen --kill-shard' for the sharded chaos drill)",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        _cmd_serve_sharded(args)
-    else:
-        _cmd_serve(args)
-
-
 _SERVE_COMMANDS = {
-    "serve": _cmd_serve_dispatch,
+    "serve": _cmd_serve,
     "predict": _cmd_predict,
     "loadgen": _cmd_loadgen,
 }

@@ -18,9 +18,10 @@ closes the repo's train → serve gap:
     method x model-version x row dtype/shape/bytes, looked up and
     filled a block at a time.
 :mod:`repro.serve.server`
-    :class:`ModelServer` — the request lifecycle: per-request
-    deadlines, backpressure shedding to a single-item sync path, and
-    full :class:`~repro.telemetry.metrics.MetricsRegistry` wiring
+    :class:`ModelServer` — the request lifecycle, written once for both
+    tiers: per-request deadlines, backpressure shedding to a
+    single-item sync path, and full
+    :class:`~repro.telemetry.metrics.MetricsRegistry` wiring
     (latency/batch-size histograms, queue-depth gauge, shed and cache
     counters).
 :mod:`repro.serve.resilience`
@@ -30,13 +31,15 @@ closes the repo's train → serve gap:
     window) and :class:`ResiliencePolicy` — the failure-handling
     decision table wired through the server, plus the
     :meth:`ModelServer.health` / :meth:`ModelServer.ready` operator
-    probes (see ``docs/RUNBOOK.md``).
+    probes, which move no resilience counter (see
+    ``docs/RUNBOOK.md``).
 :mod:`repro.serve.sharding`
-    :class:`~repro.serve.sharding.server.ShardedModelServer` — the same
-    request lifecycle spread over N worker *processes*: consistent-hash
-    routing, shared-memory batch transport, a supervisor that respawns
-    dead workers from the last-known-good snapshot, and atomic
-    hot-swap broadcast (load-tested by :mod:`repro.loadgen`).
+    :class:`~repro.serve.sharding.server.ShardedModelServer` — a
+    :class:`ModelServer` subclass that keeps only its fleet of N worker
+    *processes*: consistent-hash routing, shared-memory batch
+    transport, a supervisor that respawns dead workers from the
+    last-known-good snapshot, and atomic hot-swap broadcast
+    (load-tested by :mod:`repro.loadgen`).
 
 Entry points: ``python -m repro serve [--shards N]`` /
 ``python -m repro predict`` / ``python -m repro loadgen`` (CLI) and

@@ -1,4 +1,4 @@
-"""Model server: request lifecycle around the micro-batching engine.
+"""Model server: the request lifecycle of both serving tiers.
 
 :class:`ModelServer` is the front door of ``repro.serve``.  Per call —
 one row through :meth:`~ModelServer.request`, or a block of rows through
@@ -10,10 +10,9 @@ one row through :meth:`~ModelServer.request`, or a block of rows through
 2. keys every row in one pass and consults the LRU
    :class:`~repro.serve.cache.PredictionCache` under one lock (keyed on
    method x version x row bytes);
-3. enqueues the misses into the
-   :class:`~repro.serve.batching.MicroBatcher` as blocks of at most
-   ``max_batch_size`` rows and blocks until the coalesced dispatches
-   slice their results back;
+3. routes the misses to a :class:`~repro.serve.batching.MicroBatcher`,
+   enqueues them as blocks of at most ``max_batch_size`` rows and
+   blocks until the coalesced dispatches slice their results back;
 4. degrades gracefully instead of failing: a **full queue** sheds a
    block to inline single-row model calls (``serve/shed_total``), and
    an expired **deadline** cancels the queued block and answers it the
@@ -21,6 +20,15 @@ one row through :meth:`~ModelServer.request`, or a block of rows through
    answer, memory stays bounded.
 
 Counters and histograms count rows, not blocks, and move once per call.
+
+The server holds a list of batchers: one in-process, whose workers
+score on this process's model.
+:class:`~repro.serve.sharding.server.ShardedModelServer` subclasses it
+with one batcher per worker process and overrides only the steps where
+its fleet differs — version resolution, the method check, row
+normalization, routing, dispatch, which batch errors are rescued and
+the fleet's share of the probes — so this lifecycle is written once for
+both tiers.
 
 With a :class:`~repro.serve.resilience.ResiliencePolicy` attached the
 unhappy paths get the same treatment: model and registry calls are
@@ -31,8 +39,10 @@ batch is rescued row-by-row on the callers' threads
 (``serve/rescued_total``), and cache entries carry integrity checksums
 so a poisoned entry costs one recompute instead of a wrong answer.
 :meth:`ModelServer.health` exposes the whole picture — queue depth,
-breaker states, cache hit rate, active version — as the operator
-probe documented in ``docs/RUNBOOK.md``.
+breaker states, cache hit rate, active version, shards — as the
+operator probe documented in ``docs/RUNBOOK.md``; the probes read the
+registry outside the breaker and the retry, so probing moves no
+resilience counter.
 
 Every step is instrumented on a
 :class:`~repro.telemetry.metrics.MetricsRegistry`: request/batch/shed
@@ -54,19 +64,22 @@ import contextlib
 import contextvars
 import threading
 from types import TracebackType
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
 from ..telemetry import trace as tracing
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.trace import Tracer, add_event
-from .batching import MicroBatcher, ServeRequest, ServerClosed
+from .batching import DispatchFn, MicroBatcher, ServeRequest, ServerClosed
 from .cache import PredictionCache
 from .registry import ActiveModel, ModelRegistry
 from .resilience import BreakerOpen, FaultInjector, ResiliencePolicy
 
 __all__ = ["ModelServer"]
+
+# (shard, row indices, queued block) — one block of a call's misses.
+_Block = Tuple[int, List[int], ServeRequest]
 
 
 class ModelServer:
@@ -126,10 +139,7 @@ class ModelServer:
         fault_injector: Optional[FaultInjector] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if (model is None) == (registry is None):
-            raise ValueError("pass exactly one of model= or registry=")
-        if registry is not None and not name:
-            raise ValueError("serving from a registry requires name=")
+        self._check_target(model, registry, name)
         self._model = model
         self._registry = registry
         self._name = name
@@ -152,13 +162,30 @@ class ModelServer:
         self._last_good: Optional[ActiveModel] = None
         self._closed = False
         self._close_lock = threading.Lock()
-        self._batcher = MicroBatcher(
-            self._dispatch,
-            max_batch_size=max_batch_size,
-            batch_timeout=batch_timeout,
-            max_queue=max_queue,
-            workers=workers,
-        )
+        self._batchers = [
+            MicroBatcher(
+                dispatch,
+                max_batch_size=max_batch_size,
+                batch_timeout=batch_timeout,
+                max_queue=max_queue,
+                workers=workers,
+            )
+            for dispatch in self._dispatchers()
+        ]
+
+    @staticmethod
+    def _check_target(
+        model: Any, registry: Optional[ModelRegistry], name: Optional[str]
+    ) -> None:
+        """Exactly one of a fixed ``model`` or a ``registry`` + ``name``."""
+        if (model is None) == (registry is None):
+            raise ValueError("pass exactly one of model= or registry=")
+        if registry is not None and not name:
+            raise ValueError("serving from a registry requires name=")
+
+    def _dispatchers(self) -> List[DispatchFn]:
+        """One dispatch callable per batcher; in-process, the model call."""
+        return [self._dispatch]
 
     @property
     def registry(self) -> Optional[ModelRegistry]:
@@ -206,7 +233,7 @@ class ModelServer:
         if self.closed:
             raise ServerClosed()
         with self._start_span("serve/request", method=method) as span:
-            block = self._normalize_row(row)[np.newaxis, ...]
+            block = self._normalize_row(row)
             return self._serve(span, method, block, start, deadline)[0]
 
     def predict_many(
@@ -255,15 +282,14 @@ class ModelServer:
             return contextvars.copy_context()
         return None
 
-    @staticmethod
-    def _normalize_row(row: np.ndarray) -> np.ndarray:
+    def _normalize_row(self, row: np.ndarray) -> np.ndarray:
+        """One sample as a one-row block (a length-1 batch axis squeezed)."""
         row = np.asarray(row)
         if row.ndim >= 2 and row.shape[0] == 1:
             row = row[0]
-        return row
+        return row[np.newaxis, ...]
 
-    @staticmethod
-    def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    def _normalize_rows(self, x: np.ndarray) -> np.ndarray:
         """``x`` as an ``(n, ...)`` block, each row normalized as in
         :meth:`_normalize_row`."""
         rows = np.asarray(x)
@@ -335,6 +361,44 @@ class ModelServer:
         self._last_good = active
         return active.version, active.model
 
+    def _probe(self) -> Tuple[Optional[str], bool]:
+        """``(version, stale)`` a request would be scored by right now.
+
+        The probes' view of :meth:`_resolve`: one registry read through
+        its chaos site, but outside the breaker and the retry, so a
+        probe moves no retry or stale counter and records no breaker
+        call — ``/health`` scrapes cannot open the breaker.  An open
+        breaker, or a failed read under a resilience policy, reports the
+        last-known-good snapshot (``stale=True``); ``None`` means no
+        version resolves.
+        """
+        if self._registry is None:
+            return "v0", False
+        policy = self.resilience
+        if policy is None or policy.registry_breaker.state != "open":
+            try:
+                return self._load_active().version, False
+            except Exception:
+                if policy is None:
+                    return None, False
+        stale = self._last_good
+        if stale is None:
+            return None, False
+        return stale.version, True
+
+    def _supports(self, model: Any, method: str) -> bool:
+        """Whether ``model`` can answer ``method``."""
+        return callable(getattr(model, method, None))
+
+    def _route(
+        self, span: Any, method: str, rows: np.ndarray, misses: List[int]
+    ) -> Iterable[Tuple[int, List[int]]]:
+        """``(shard, row indices)`` buckets of a call's cache misses.
+
+        In-process every miss goes to the one batcher, shard 0.
+        """
+        return ((0, misses),)
+
     def _score(self, model: Any, method: str, batch: np.ndarray) -> Any:
         """One (chaos-wrapped, retried) model call on a stacked batch."""
         bound = getattr(model, method)
@@ -358,16 +422,18 @@ class ModelServer:
     ) -> List[Any]:
         """Answer an ``(n, ...)`` block of rows; the request lifecycle.
 
-        Keys and looks up every row in one pass, queues the misses as
-        blocks of at most ``max_batch_size`` rows, and degrades instead
-        of failing: blocks a full queue rejects, or whose ``deadline``
-        expires while queued, are answered row by row inline.  Counters
-        move once per call, in rows; every row gets one latency sample,
-        from ``start`` to when its answer was in hand.
+        Keys and looks up every row in one pass, buckets the misses per
+        batcher (:meth:`_route`), queues each bucket as blocks of at
+        most ``max_batch_size`` rows, and degrades instead of failing:
+        blocks a full queue rejects, or whose ``deadline`` expires while
+        queued, are answered row by row inline, and blocks whose batch
+        failed go to :meth:`_rescue`.  Counters move once per call, in
+        rows; every row gets one latency sample, from ``start`` to when
+        its answer was in hand.
         """
         version, model = self._resolve()
         span.set_attribute("version", version)
-        if not callable(getattr(model, method, None)):
+        if not self._supports(model, method):
             raise ValueError(
                 f"model {type(model).__name__} does not support {method!r}"
             )
@@ -397,22 +463,39 @@ class ModelServer:
                     len(misses)
                 )
 
-        size = self._batcher.max_batch_size
-        blocks: List[Tuple[List[int], ServeRequest]] = []
-        for lo in range(0, len(misses), size):
-            index = misses[lo:lo + size]
-            block = rows[lo:lo + size] if len(misses) == n else rows[index]
-            # Per-block context copies: a shared Context object cannot
-            # be entered by two dispatching workers at once.
-            blocks.append((index, ServeRequest(
-                method, block, enqueued_at=start,
-                context=self._capture_context(),
-            )))
-        accepted = 0
-        if blocks:
-            accepted = self._batcher.submit_many(
-                [request for _index, request in blocks]
-            )
+        shed: List[_Block] = []
+        waiting: List[_Block] = []
+        if misses:
+            for shard, members in self._route(span, method, rows, misses):
+                batcher = self._batchers[shard]
+                size = batcher.max_batch_size
+                blocks: List[_Block] = []
+                for lo in range(0, len(members), size):
+                    index = members[lo:lo + size]
+                    block = (
+                        rows[lo:lo + size] if len(members) == n
+                        else rows[index]
+                    )
+                    # Per-block context copies: a shared Context object
+                    # cannot be entered by two dispatching workers at once.
+                    blocks.append((shard, index, ServeRequest(
+                        method, block, enqueued_at=start,
+                        context=self._capture_context(),
+                    )))
+                accepted = batcher.submit_many(
+                    [request for _shard, _index, request in blocks]
+                )
+                waiting += blocks[:accepted]
+                rejected = blocks[accepted:]
+                if rejected:
+                    # Bounded-queue backpressure: serve inline, not grow.
+                    shed_rows = sum(len(index) for _s, index, _r in rejected)
+                    span.event(
+                        "shed", reason="queue_full", shard=shard,
+                        rows=shed_rows,
+                    )
+                    self.metrics.counter("serve/shed_total").inc(shed_rows)
+                    shed += rejected
             self._gauge_depth()
 
         def block_keys(index: List[int]) -> Optional[List[bytes]]:
@@ -424,24 +507,20 @@ class ModelServer:
             latencies.extend([clock() - start] * len(index))
 
         try:
-            shed = blocks[accepted:]
-            if shed:
-                # Bounded-queue backpressure: serve inline rather than grow.
-                shed_rows = sum(len(index) for index, _request in shed)
-                span.event("shed", reason="queue_full", rows=shed_rows)
-                self.metrics.counter("serve/shed_total").inc(shed_rows)
-            for index, request in shed:
+            for _shard, index, request in shed:
                 answer(index, self._predict_inline(
                     method, request.rows, model, block_keys(index)
                 ))
-            for index, request in blocks[:accepted]:
+            for shard, index, request in waiting:
                 if (
                     not request.event.wait(timeout=deadline)
-                    and self._batcher.cancel(request)
+                    and self._batchers[shard].cancel(request)
                 ):
                     # Deadline expired while queued: degrade to the
                     # inline path so the caller still gets an answer.
-                    span.event("deadline_expired", rows=len(index))
+                    span.event(
+                        "deadline_expired", shard=shard, rows=len(index)
+                    )
                     self.metrics.counter(
                         "serve/deadline_expired_total"
                     ).inc(len(index))
@@ -493,15 +572,20 @@ class ModelServer:
             version, model = self._resolve()
             with self.metrics.timer("serve/dispatch_seconds"):
                 out = self._score(model, method, rows)
+        return self._batch_done(method, version, rows, list(out))
+
+    def _batch_done(
+        self, method: str, version: str, rows: np.ndarray, values: List[Any]
+    ) -> List[Any]:
+        """Count one dispatched batch and cache its rows under ``version``."""
         self.metrics.counter("serve/batches_total").inc()
         self.metrics.histogram("serve/batch_size").observe(len(rows))
         self._gauge_depth()
-        results = list(out)
         if self.cache.maxsize:
             self._cache_put_many(
-                PredictionCache.make_keys(method, version, rows), results
+                PredictionCache.make_keys(method, version, rows), values
             )
-        return results
+        return values
 
     def _cache_put_many(self, keys: List[bytes], values: List[Any]) -> None:
         """Store results, routing through cache chaos and degrading on error.
@@ -533,7 +617,13 @@ class ModelServer:
         model: Any,
         keys: Optional[List[bytes]],
     ) -> List[Any]:
-        """Row-by-row sync path for shed, expired and rescued blocks."""
+        """Row-by-row sync path for shed, expired and rescued blocks.
+
+        Scores on the caller's thread with the model the caller
+        resolved — on the sharded tier, the parent's own snapshot, which
+        is why no request is dropped even with the whole fleet dead
+        mid-respawn.
+        """
         with self._start_span(
             "serve/inline_predict", method=method, rows=len(rows)
         ):
@@ -545,6 +635,19 @@ class ModelServer:
             self._cache_put_many(keys, values)
         return values
 
+    def _rescuable(self, error: BaseException) -> bool:
+        """Whether a block whose batch failed with ``error`` is re-scored.
+
+        In-process the policy's ``rescue_batch_errors`` decides;
+        :class:`ServerClosed` is never rescued — shutdown is not a fault.
+        """
+        policy = self.resilience
+        return (
+            policy is not None
+            and policy.rescue_batch_errors
+            and not isinstance(error, ServerClosed)
+        )
+
     def _rescue(
         self,
         error: BaseException,
@@ -555,24 +658,21 @@ class ModelServer:
         """Answer a block whose batch failed with ``error``, or re-raise it.
 
         A block whose coalesced batch failed even after the dispatch
-        retries is, under ``rescue_batch_errors``, re-scored row by row
-        on the caller's thread (``serve/rescued_total``) — one poisoned
-        row can fail a batch, but it should not fail its 31 neighbours.
-        :class:`ServerClosed` is never rescued; shutdown is not a fault.
+        retries is, when :meth:`_rescuable`, re-scored row by row on the
+        caller's thread (``serve/rescued_total``) — one poisoned row can
+        fail a batch, but it should not fail its 31 neighbours.
         """
-        policy = self.resilience
-        if (
-            policy is None
-            or not policy.rescue_batch_errors
-            or isinstance(error, ServerClosed)
-        ):
+        if not self._rescuable(error):
             raise error
         add_event("row_rescue", error=type(error).__name__, rows=len(request))
         self.metrics.counter("serve/rescued_total").inc(len(request))
         return self._predict_inline(request.method, request.rows, model, keys)
 
     def _gauge_depth(self) -> None:
-        self.metrics.gauge("serve/queue_depth").set(self._batcher.depth())
+        depth = 0
+        for batcher in self._batchers:
+            depth += batcher.depth()
+        self.metrics.gauge("serve/queue_depth").set(depth)
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection
@@ -588,7 +688,8 @@ class ModelServer:
             if self._closed:
                 return
             self._closed = True
-        self._batcher.close(drain=drain)
+        for batcher in self._batchers:
+            batcher.close(drain=drain)
 
     def __enter__(self) -> "ModelServer":
         return self
@@ -610,85 +711,90 @@ class ModelServer:
     def health(self) -> Dict[str, Any]:
         """Liveness/diagnostics probe: one consistent operator-facing dict.
 
-        Keys (see ``docs/RUNBOOK.md`` for the semantics table):
+        Both tiers report the same keys (see ``docs/RUNBOOK.md`` for the
+        semantics table):
 
         - ``status`` — ``"ok"``, ``"degraded"`` (some circuit breaker is
-          not closed: the stack answers but from fallbacks), or
-          ``"closed"``;
+          not closed, a shard is dead, or no model version resolves:
+          the stack answers but from fallbacks), or ``"closed"``;
+        - ``n_shards`` / ``alive_shards`` — fleet size and how much of
+          it is up (the in-process server is one shard);
         - ``queue_depth`` / ``queue_capacity`` / ``queue_saturation`` —
-          backpressure headroom (saturation 1.0 means new requests shed
-          to the inline path);
+          backpressure headroom summed over the batchers (saturation 1.0
+          means new requests shed to the inline path);
+        - ``workers`` — dispatch worker threads over all batchers;
         - ``cache`` — the full :meth:`PredictionCache.stats` snapshot
           (hit rate, evictions, detected corruptions);
-        - ``breakers`` — ``{name: state}`` for every breaker in the
-          resilience policy (empty without one);
+        - ``breakers`` — ``{name: state}`` for every circuit breaker
+          (the resilience policy's and, sharded, one per shard);
         - ``active_model`` — ``{"name", "version", "stale"}`` of what a
           request would be scored by right now (``version=None`` when
           nothing is resolvable), ``stale=True`` when it is the
           last-known-good fallback rather than a live resolution;
         - ``shards`` — per-shard status entries (``shard``, ``alive``,
-          ``queue_depth``, ``active_version``).  The single-process
-          server reports its one in-process "shard" so probes read the
-          same shape from both tiers;
-          :meth:`repro.serve.sharding.server.ShardedModelServer.health`
-          fills this with the real fleet.
+          ``queue_depth``, ``active_version``; the sharded tier adds
+          ``breaker``, ``respawns`` and ``pid``).
+
+        Probing moves no counter and records no breaker call (see
+        :meth:`_probe`).
         """
-        depth = self._batcher.depth()
-        capacity = self._batcher.max_queue
-        breakers: Dict[str, str] = {}
-        if self.resilience is not None:
-            breakers = {
-                breaker.name: breaker.state
-                for breaker in self.resilience.breakers()
-            }
-        active: Dict[str, Any] = {"name": self._name, "version": None,
-                                  "stale": False}
-        if self._registry is None:
-            active = {
-                "name": type(self._model).__name__,
-                "version": "v0",
-                "stale": False,
-            }
-        else:
-            try:
-                version, _model = self._resolve()
-                stale_snapshot = self._last_good
-                active["version"] = version
-                active["stale"] = bool(
-                    stale_snapshot is not None
-                    and breakers.get("registry") not in (None, "closed")
-                )
-            except Exception:
-                active["version"] = None
-                active["stale"] = False
         closed_now = self.closed
+        version, stale = self._probe()
+        breakers = self._breaker_states()
+        shards = self._shard_statuses(version)
+        alive = sum(1 for status in shards if status["alive"])
+        depth = sum(int(status["queue_depth"]) for status in shards)
+        capacity = sum(batcher.max_queue for batcher in self._batchers)
         if closed_now:
             status = "closed"
-        elif any(state != "closed" for state in breakers.values()):
-            status = "degraded"
-        elif active["version"] is None:
+        elif (
+            version is None
+            or alive < len(shards)
+            or any(state != "closed" for state in breakers.values())
+        ):
             status = "degraded"
         else:
             status = "ok"
         return {
             "status": status,
             "closed": closed_now,
+            "n_shards": len(shards),
+            "alive_shards": alive,
             "queue_depth": depth,
             "queue_capacity": capacity,
             "queue_saturation": depth / capacity if capacity else 0.0,
-            "workers": self._batcher.workers,
+            "workers": sum(batcher.workers for batcher in self._batchers),
             "cache": self.cache.stats(),
             "breakers": breakers,
-            "active_model": active,
-            "shards": [
-                {
-                    "shard": 0,
-                    "alive": not closed_now,
-                    "queue_depth": depth,
-                    "active_version": active["version"],
-                }
-            ],
+            "active_model": {
+                "name": self._name or type(self._model).__name__,
+                "version": version,
+                "stale": stale,
+            },
+            "shards": shards,
         }
+
+    def _breaker_states(self) -> Dict[str, str]:
+        """``{name: state}`` of the resilience policy's breakers."""
+        if self.resilience is None:
+            return {}
+        return {
+            breaker.name: breaker.state
+            for breaker in self.resilience.breakers()
+        }
+
+    def _shard_statuses(self, version: Optional[str]) -> List[Dict[str, Any]]:
+        """Per-batcher status entries; in-process, the one local shard."""
+        alive = not self.closed
+        return [
+            {
+                "shard": shard,
+                "alive": alive,
+                "queue_depth": batcher.depth(),
+                "active_version": version,
+            }
+            for shard, batcher in enumerate(self._batchers)
+        ]
 
     def ready(self) -> bool:
         """Readiness probe: can this replica answer a request right now?
@@ -700,10 +806,7 @@ class ModelServer:
         """
         if self.closed:
             return False
-        try:
-            version, _model = self._resolve()
-        except Exception:
-            return False
+        version, _stale = self._probe()
         return version is not None
 
     def stats(self) -> Dict[str, Any]:
@@ -741,6 +844,7 @@ class ModelServer:
             else type(self._model).__name__
         )
         return (
-            f"ModelServer({target}, max_batch_size="
-            f"{self._batcher.max_batch_size}, closed={self.closed})"
+            f"{type(self).__name__}({target}, shards={len(self._batchers)}, "
+            f"max_batch_size={self._batchers[0].max_batch_size}, "
+            f"closed={self.closed})"
         )

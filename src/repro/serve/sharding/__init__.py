@@ -1,6 +1,8 @@
 """Multi-process sharded serving tier.
 
-Composes four pieces behind the familiar ``ModelServer`` surface:
+:class:`~repro.serve.sharding.server.ShardedModelServer` is a
+:class:`~repro.serve.server.ModelServer` subclass: it inherits the
+request lifecycle and adds the fleet, composed of these pieces:
 
 - :mod:`~repro.serve.sharding.hashing` — seeded consistent-hash ring
   (stable, bounded-movement routing of cache-keyed requests);
@@ -11,7 +13,8 @@ Composes four pieces behind the familiar ``ModelServer`` surface:
 - :mod:`~repro.serve.sharding.supervisor` — spawn/watch/respawn with
   last-known-good snapshots and atomic swap broadcast;
 - :mod:`~repro.serve.sharding.server` — the
-  :class:`~repro.serve.sharding.server.ShardedModelServer` facade.
+  :class:`~repro.serve.sharding.server.ShardedModelServer` itself: the
+  lifecycle steps where the fleet differs from one process.
 """
 
 from .hashing import ConsistentHashRing, routing_key

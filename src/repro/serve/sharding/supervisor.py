@@ -90,9 +90,9 @@ class ShardSupervisor:
         Registry for per-shard liveness/respawn instruments.
     monitor_interval:
         Seconds between liveness sweeps.
-    mp_context:
-        Multiprocessing start method; ``"fork"`` (default) supports
-        unpicklable models and is what the tests and benchmarks use.
+
+    Workers start by ``fork``, which supports unpicklable models; the
+    owner creates the supervisor before it starts any thread.
     """
 
     def __init__(
@@ -106,7 +106,6 @@ class ShardSupervisor:
         metrics: Optional[MetricsRegistry] = None,
         monitor_interval: float = MONITOR_INTERVAL,
         control_timeout: float = CONTROL_TIMEOUT,
-        mp_context: str = "fork",
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -114,7 +113,7 @@ class ShardSupervisor:
         self.monitor_interval = float(monitor_interval)
         self.control_timeout = float(control_timeout)
         self.metrics = metrics
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context("fork")
         self._model = model
         self._lock = threading.Lock()
         self._last_version = version

@@ -381,6 +381,34 @@ def test_registry_outage_serves_stale_snapshot(model, x):
         assert server.ready()  # stale fallback still answers
 
 
+def test_probes_on_failing_registry_move_no_counter(model, x):
+    injector = FaultInjector()
+    server = ModelServer(
+        registry=registry_for(model), name="m", cache_size=0,
+        resilience=quiet_policy(), fault_injector=injector,
+    )
+    with server:
+        server.predict(x[0])                            # populates last-good
+        version = server.health()["active_model"]["version"]
+        injector.profiles["registry"] = FaultProfile(error_rate=1.0)
+        for _ in range(10):
+            assert server.ready()                       # stale still answers
+            health = server.health()
+        counters = server.metrics.snapshot()["counters"]
+        assert health["breakers"]["registry"] == "closed"
+        assert health["active_model"] == {
+            "name": "m", "version": version, "stale": True,
+        }
+        for name in (
+            "resilience/retries_total",
+            "resilience/retry_exhausted_total",
+            "resilience/stale_model_served_total",
+        ):
+            assert counters.get(name, 0.0) == 0, name
+        # The probes did read the registry through its chaos site.
+        assert counters["resilience/faults/registry/error_total"] == 20
+
+
 def test_registry_outage_without_snapshot_propagates(model, x):
     injector = FaultInjector(
         profiles={"registry": FaultProfile(error_rate=1.0)}

@@ -17,6 +17,7 @@ from repro.serve import (
     ResiliencePolicy,
     RetryPolicy,
 )
+from repro.serve.sharding import ShardedModelServer
 
 D = 12
 
@@ -383,11 +384,27 @@ def _accounted(stats):
     )
 
 
-def test_predict_many_queues_row_blocks_and_counts_rows(model, x):
+def _in_process(model, **knobs):
+    return ModelServer(model=model, workers=1, **knobs)
+
+
+def _one_shard(model, **knobs):
+    return ShardedModelServer(model=model, n_shards=1, n_features=D, **knobs)
+
+
+# The request lifecycle both tiers share, driven on each: one dispatch
+# worker in-process, or one worker process behind the ring.
+both_tiers = pytest.mark.parametrize(
+    "make_server", [_in_process, _one_shard], ids=["in_process", "one_shard"]
+)
+
+
+@both_tiers
+def test_predict_many_queues_row_blocks_and_counts_rows(make_server, model, x):
     rows = x[:40]
-    server = ModelServer(
-        model=SlowModel(model, delay=0.01), max_batch_size=8, max_queue=16,
-        workers=1, batch_timeout=0.0,
+    server = make_server(
+        SlowModel(model, delay=0.01), max_batch_size=8, max_queue=16,
+        batch_timeout=0.0,
     )
     with server:
         for row in rows[[3, 17, 29]]:
@@ -440,11 +457,12 @@ def test_failed_block_is_rescued_and_counted_in_rows(model, x):
     assert _accounted(stats) == stats["requests"] == 24
 
 
-def test_deadline_expiry_degrades_to_inline(model, x):
+@both_tiers
+def test_deadline_expiry_degrades_to_inline(make_server, model, x):
     slow = SlowModel(model, delay=0.05)
-    server = ModelServer(
-        model=slow, max_batch_size=2, max_queue=64, workers=1,
-        batch_timeout=0.0, cache_size=0,
+    server = make_server(
+        slow, max_batch_size=2, max_queue=64, batch_timeout=0.0,
+        cache_size=0,
     )
     expected = model.predict(x[:12])
     with server:
@@ -456,6 +474,7 @@ def test_deadline_expiry_degrades_to_inline(model, x):
     stats = server.stats()
     assert np.array_equal(got, expected)  # deadlines never cost correctness
     assert stats["deadline_expired"] > 0
+    assert _accounted(stats) == stats["requests"] == 12
 
 
 def test_dispatch_errors_propagate_to_callers(x):

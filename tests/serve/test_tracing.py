@@ -27,6 +27,7 @@ from repro.serve import (
     ResiliencePolicy,
     RetryPolicy,
 )
+from repro.serve.sharding import ShardedModelServer
 from repro.telemetry.summarize import (
     critical_path,
     format_trace_tree,
@@ -76,6 +77,27 @@ def test_request_and_dispatch_share_one_trace(model, x):
     assert dispatch["parent_id"] == request["span_id"]
     assert request["attributes"]["method"] == "predict"
     assert dispatch["attributes"]["batch_size"] == 1
+
+
+def test_shard_dispatch_and_worker_score_join_the_request_trace(model, x):
+    tracer = Tracer(sample_rate=1.0)
+    with ShardedModelServer(
+        model=model, n_shards=2, cache_size=0, tracer=tracer
+    ) as server:
+        server.predict(x[0])
+    spans = by_name(tracer.buffer.spans())
+
+    request = spans["serve/request"][0]
+    dispatch = spans["serve/shard_dispatch"][0]
+    worker = spans["serve/worker_score"][0]
+    # The parent's dispatch thread and the worker process's timing land
+    # in the request's trace, each under its caller.
+    assert request["parent_id"] is None
+    assert dispatch["trace_id"] == request["trace_id"]
+    assert dispatch["parent_id"] == request["span_id"]
+    assert worker["trace_id"] == request["trace_id"]
+    assert worker["parent_id"] == dispatch["span_id"]
+    assert dispatch["attributes"]["shard"] == request["attributes"]["shard"]
 
 
 def test_concurrent_requests_get_distinct_traces(model, x):
