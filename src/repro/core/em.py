@@ -135,7 +135,7 @@ def precisions_from_stats(
     numerator = 2.0 * (a - 1.0) + np.asarray(resp_sum, dtype=np.float64)
     denominator = 2.0 * b + np.asarray(weighted_sq, dtype=np.float64)
     lam = numerator / np.maximum(denominator, 1e-300)
-    return np.clip(lam, _LAMBDA_MIN, _LAMBDA_MAX)
+    return lam.clip(_LAMBDA_MIN, _LAMBDA_MAX)
 
 
 def mixing_from_stats(
@@ -284,6 +284,22 @@ def merge_similar_components(
     """
     pi = np.asarray(pi, dtype=np.float64).reshape(-1)
     lam = np.asarray(lam, dtype=np.float64).reshape(-1)
+    order = lam.argsort()
+    lam_sorted = lam[order]
+    later, earlier = lam_sorted[1:], lam_sorted[:-1]
+    # Until its first merge, merge_plan's walk compares each precision
+    # with its sorted predecessor, so when no adjacent gap is within
+    # tolerance every group is a singleton, and a sum over a group of
+    # one is its element (up to the sign of a zero).
+    if pi.size and not (
+        abs(later - earlier) <= rel_tol * np.maximum(abs(later), abs(earlier))
+    ).any():
+        pi_sorted = pi[order]
+        return (
+            pi_sorted,
+            (pi_sorted * lam_sorted) / np.maximum(pi_sorted, 1e-300),
+            *(np.asarray(s)[order] for s in stats),
+        )
     groups = merge_plan(pi, lam, rel_tol=rel_tol)
     totals = np.array([pi[group].sum() for group in groups])
     merged_lam = np.array(
@@ -363,7 +379,7 @@ def em_step_from_stats(
     lam = precisions_from_stats(resp_sum, weighted_sq, a=a, b=b)
     pi = mixing_from_stats(resp_sum, alpha=alpha, prune=prune)
     keep = pi > 0.0
-    if not np.all(keep) and keep.sum() >= 1:
+    if not keep.all() and keep.any():
         pi = pi[keep] / pi[keep].sum()
         lam = lam[keep]
         resp_sum = resp_sum[keep]

@@ -23,7 +23,9 @@ kernel:
   ratio to every other component is largest at ``w = 0`` and bounded
   there by the ``pi`` floor and the precision range, so ``exp`` never
   overflows and the normalizer is at least 1.  That removes the max
-  and subtract passes;
+  and subtract passes, and the reference's own row is ``exp(0) = 1``:
+  it is written as ``0 * w^2 + 1``, so only the other ``K - 1`` rows
+  take an ``exp``;
 - folds the normalization ``r = p / sum_k p_k`` into the consumers
   instead of dividing the whole matrix;
 - evaluates the densities at the parameters' own dtype (float32
@@ -43,6 +45,7 @@ does not allocate them again each step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -152,8 +155,8 @@ def stacked_estep(
     buffers = workspace if workspace is not None else Workspace()
     flats = [np.asarray(w).reshape(-1) for w in ws]
     dtype = np.result_type(np.float32, *flats)
-    bounds = np.cumsum([0] + [flat.size for flat in flats])
-    m_total = int(bounds[-1])
+    bounds = list(accumulate((flat.size for flat in flats), initial=0))
+    m_total = bounds[-1]
     k_max = max(m.n_components for m in mixtures)
 
     x = buffers.get("x", (m_total,), dtype)
@@ -165,22 +168,32 @@ def stacked_estep(
     sums = buffers.get("sums", (2, m_total), dtype)
     for i, mixture in enumerate(mixtures):
         lo, hi = bounds[i], bounds[i + 1]
-        block = dens[: mixture.n_components, lo:hi]
+        k = mixture.n_components
+        block = dens[:k, lo:hi]
         lam = mixture.lam
         # log(pi_k p_k / pi_ref p_ref) with ref the broadest component:
         # the shared -0.5 log(2 pi) cancels and the exponent is largest,
         # and bounded, at w = 0.
-        ref = int(np.argmin(lam))
+        ref = int(lam.argmin())
         log_weight = mixture._log_pi + 0.5 * np.log(lam)
         slope = (-0.5 * (lam - lam[ref])).astype(dtype)
-        np.multiply(slope[:, None], x2[None, lo:hi], out=block)
-        block += (log_weight - log_weight[ref]).astype(dtype)[:, None]
-        np.exp(block, out=block)
-        np.matmul(
-            np.stack([np.ones_like(lam), lam]).astype(dtype),
-            block,
-            out=sums[:, lo:hi],
-        )
+        offset = (log_weight - log_weight[ref]).astype(dtype)
+        # The reference row is exp(0) = 1, computed as 0 * w^2 + 1 so
+        # that it stays NaN where w^2 is not finite, as exp(-0 * w^2)
+        # is: that NaN is what fails the M-step on an inf weight.
+        np.multiply(x2[lo:hi], 0.0, out=block[ref])
+        block[ref] += 1.0
+        for rows in (slice(0, ref), slice(ref + 1, k)):
+            if rows.start == rows.stop:
+                continue
+            part = block[rows]
+            np.multiply(slope[rows, None], x2[None, lo:hi], out=part)
+            part += offset[rows, None]
+            np.exp(part, out=part)
+        operand = np.empty((2, k), dtype)
+        operand[0] = 1.0
+        operand[1] = lam
+        np.matmul(operand, block, out=sums[:, lo:hi])
 
     # The normalization r = p / sum_k p_k, folded into the consumers:
     # g_reg uses (sum_k lambda_k p_k) / (sum_k p_k), and the statistics

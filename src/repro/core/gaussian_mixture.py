@@ -76,9 +76,10 @@ class GaussianMixture:
             )
         if pi.size == 0:
             raise ValueError("mixture must have at least one component")
-        if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
+        # min/max propagate NaN, and a NaN fails every comparison.
+        if not (lam.min() > 0.0 and lam.max() < math.inf):
             raise ValueError(f"all precisions must be positive and finite, got {lam}")
-        if np.any(pi < 0.0) or not np.all(np.isfinite(pi)):
+        if not (pi.min() >= 0.0 and pi.max() < math.inf):
             raise ValueError(f"mixing coefficients must be non-negative, got {pi}")
         total = pi.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
@@ -87,8 +88,7 @@ class GaussianMixture:
         pi = pi / total
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "lam", lam)
-        with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_log_pi", np.log(np.maximum(pi, _PI_FLOOR)))
+        object.__setattr__(self, "_log_pi", np.log(np.maximum(pi, _PI_FLOOR)))
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -143,12 +143,15 @@ class OnlineTrainer:
         No epoch horizon: the step counter advances forever, the lazy
         schedule's warm-up window is expressed in steps (see
         :class:`~repro.online.em.DecayedGMRegularizer`), and the loss
-        EWMA feeds the publisher's ``loss_delta`` trigger.
+        EWMA feeds the publisher's ``loss_delta`` trigger.  A 1-D ``x``
+        is one row and a scalar ``y`` one label.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
         if x.ndim == 1:
             x = x.reshape(1, -1)
+        if y.ndim == 0:
+            y = y.reshape(1)
         if x.shape[0] != y.shape[0]:
             raise ValueError(
                 f"x and y disagree on sample count: {x.shape[0]} vs {y.shape[0]}"

@@ -320,26 +320,38 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """The :class:`Counter` named ``name`` (created on first access)."""
         with self._lock:
-            self._check_kind_locked(name, self._counters)
-            return self._counters.setdefault(name, Counter(name))
+            found = self._counters.get(name)
+            if found is None:
+                self._check_kind_locked(name, self._counters)
+                found = self._counters[name] = Counter(name)
+            return found
 
     def gauge(self, name: str) -> Gauge:
         """The :class:`Gauge` named ``name`` (created on first access)."""
         with self._lock:
-            self._check_kind_locked(name, self._gauges)
-            return self._gauges.setdefault(name, Gauge(name))
+            found = self._gauges.get(name)
+            if found is None:
+                self._check_kind_locked(name, self._gauges)
+                found = self._gauges[name] = Gauge(name)
+            return found
 
     def histogram(self, name: str) -> Histogram:
         """The :class:`Histogram` named ``name`` (created on first access)."""
         with self._lock:
-            self._check_kind_locked(name, self._histograms)
-            return self._histograms.setdefault(name, Histogram(name))
+            found = self._histograms.get(name)
+            if found is None:
+                self._check_kind_locked(name, self._histograms)
+                found = self._histograms[name] = Histogram(name)
+            return found
 
     def timer(self, name: str) -> PhaseTimer:
         """The :class:`PhaseTimer` named ``name``, on the shared clock."""
         with self._lock:
-            self._check_kind_locked(name, self._timers)
-            return self._timers.setdefault(name, PhaseTimer(name, self.clock))
+            found = self._timers.get(name)
+            if found is None:
+                self._check_kind_locked(name, self._timers)
+                found = self._timers[name] = PhaseTimer(name, self.clock)
+            return found
 
     def _check_kind_locked(self, name: str, expected: Dict) -> None:
         for family in (self._counters, self._gauges, self._histograms,

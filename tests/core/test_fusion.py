@@ -37,10 +37,23 @@ def make_mixture(k, scale, seed):
     return GaussianMixture(pi=pi, lam=lam)
 
 
+def broadest_last(mixture):
+    """The same mixture with its components in descending precision."""
+    return GaussianMixture(pi=mixture.pi[::-1], lam=mixture.lam[::-1])
+
+
 @pytest.fixture
 def layers(rng):
-    """Three (mixture, weights) pairs with mixed component counts."""
-    mixtures = [make_mixture(4, 1, 1), make_mixture(3, 2, 2), make_mixture(4, 5, 3)]
+    """Three (mixture, weights) pairs with mixed component counts.
+
+    The kernel's reference row is the broadest component; the second
+    mixture lists it last instead of first.
+    """
+    mixtures = [
+        make_mixture(4, 1, 1),
+        broadest_last(make_mixture(3, 2, 2)),
+        make_mixture(4, 5, 3),
+    ]
     ws = [rng.normal(0, 0.1, size=n) for n in (500, 1200, 800)]
     return mixtures, ws
 

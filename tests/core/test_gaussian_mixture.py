@@ -31,6 +31,10 @@ def test_mixture_validates_simplex():
         GaussianMixture(pi=np.array([0.5, 0.6]), lam=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         GaussianMixture(pi=np.array([-0.1, 1.1]), lam=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        GaussianMixture(pi=np.array([np.nan, 1.0]), lam=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        GaussianMixture(pi=np.array([0.5, np.inf]), lam=np.array([1.0, 2.0]))
 
 
 def test_mixture_validates_precisions():
@@ -38,6 +42,11 @@ def test_mixture_validates_precisions():
         GaussianMixture(pi=np.array([0.5, 0.5]), lam=np.array([1.0, -2.0]))
     with pytest.raises(ValueError):
         GaussianMixture(pi=np.array([0.5, 0.5]), lam=np.array([1.0, np.inf]))
+    for bad in (np.nan, -np.inf, 0.0):
+        for lam in ([bad, 2.0], [2.0, bad], [bad]):
+            pi = np.full(len(lam), 1.0 / len(lam))
+            with pytest.raises(ValueError, match="positive and finite"):
+                GaussianMixture(pi=pi, lam=np.array(lam))
 
 
 def test_mixture_shape_mismatch_rejected():

@@ -6,6 +6,7 @@ import pytest
 from repro.core.em import em_step, merge_plan, merge_similar_components
 from repro.core.gaussian_mixture import GaussianMixture
 from repro.core.gm_regularizer import GMRegularizer
+from repro.core.hyperparams import GMHyperParams
 from repro.core.lazy import LazyUpdateSchedule
 from repro.online import DecayedGMRegularizer, OnlineEMState, online_em_step
 
@@ -282,3 +283,25 @@ class TestDecayedGMRegularizer:
         resumed.upt_gm_param(w)
         np.testing.assert_allclose(resumed.mixture.pi, reg.mixture.pi)
         np.testing.assert_allclose(resumed.mixture.lam, reg.mixture.lam)
+
+
+@pytest.mark.parametrize("cls", [GMRegularizer, DecayedGMRegularizer])
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("bad", [np.inf, 1e200])
+def test_nonfinite_weight_fails_the_step(cls, k, bad):
+    """An inf weight, or one whose square overflows, fails the step at
+    every K, batch and online.
+
+    The E-step's reference row is ``exp(-0 * w^2)``, NaN where ``w^2``
+    is inf, and that NaN fails the M-step's mixture validation.  A
+    reference row filled with 1 would let K = 1 clamp lambda and go on.
+    """
+    reg = cls(64, hyperparams=GMHyperParams(n_components=k))
+    w = fixed_weights(64)
+    w[5] = bad
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="positive and finite"
+    ):
+        reg.prepare(w, 0)
+        reg.gradient(w)
+        reg.update(w, 0)

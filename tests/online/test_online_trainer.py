@@ -62,6 +62,20 @@ class TestPartialFit:
         result = trainer.partial_fit(np.zeros(10), np.zeros(1))
         assert result.samples_seen == 1
 
+    def test_scalar_label_for_a_single_row(self):
+        """``partial_fit(row, label)`` is the one-row batch
+        ``partial_fit(row[None], [label])``; a scalar label for several
+        rows is still a count mismatch."""
+        row = np.linspace(-1.0, 1.0, 10)
+        scalar = OnlineTrainer(make_model(), lr=0.2)
+        batch = OnlineTrainer(make_model(), lr=0.2)
+        for label in (1, np.int64(0), 1):
+            got = scalar.partial_fit(row, label)
+            want = batch.partial_fit(row[None, :], np.array([label]))
+            assert got == want
+        with pytest.raises(ValueError, match="sample count"):
+            scalar.partial_fit(np.zeros((3, 10)), 1)
+
     def test_metrics_populated(self):
         metrics = MetricsRegistry()
         trainer = OnlineTrainer(make_model(), metrics=metrics)

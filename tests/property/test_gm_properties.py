@@ -13,7 +13,12 @@ from repro.core import (
     update_mixing_coefficients,
     update_precisions,
 )
-from repro.core.em import _LAMBDA_MAX, _LAMBDA_MIN, merge_similar_components
+from repro.core.em import (
+    _LAMBDA_MAX,
+    _LAMBDA_MIN,
+    merge_plan,
+    merge_similar_components,
+)
 from repro.core.gaussian_mixture import _PI_FLOOR
 
 # Strategy: a valid mixture (K in 1..5, positive finite precisions).
@@ -95,6 +100,52 @@ def test_merge_preserves_total_mass_and_order(gm):
     assert np.isclose(pi.sum(), 1.0, atol=1e-9)
     assert np.all(np.diff(lam) >= 0.0)
     assert pi.size == lam.size <= gm.n_components
+
+
+@st.composite
+def merge_inputs(draw):
+    """K in 1..6 precisions whose adjacent gaps sit on both sides of
+    ``rel_tol`` (and on it, to the ulp) or are ties, in random order,
+    with mixing coefficients and two statistics."""
+    k = draw(st.integers(1, 6))
+    rel_tol = draw(st.sampled_from([0.02, 0.1]))
+    # |b - a| <= rel_tol * b, the walk's test, holds up to b = a * edge.
+    edge = 1.0 / (1.0 - rel_tol)
+    factors = st.sampled_from([
+        1.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0),
+        1.0 + rel_tol / 2, 1.0 + 2 * rel_tol,
+    ]) | st.floats(1.0, 1.0 + 3 * rel_tol)
+    lam = [draw(st.floats(1e-6, 1e6))]
+    for _ in range(k - 1):
+        lam.append(lam[-1] * draw(factors))
+    order = draw(st.permutations(range(k)))
+    raw = np.asarray(draw(st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k)))
+    stats = [
+        np.asarray(draw(st.lists(st.floats(0.0, 1e6), min_size=k, max_size=k)))
+        for _ in range(2)
+    ]
+    return raw / raw.sum(), np.asarray(lam)[order], rel_tol, stats
+
+
+@given(merge_inputs())
+@settings(max_examples=200, deadline=None)
+def test_merge_equals_the_group_walk(case):
+    """``merge_similar_components`` equals ``merge_plan``'s groups summed
+    group by group, exactly, whether or not any pair merges."""
+    pi, lam, rel_tol, stats = case
+    groups = merge_plan(pi, lam, rel_tol=rel_tol)
+    totals = np.array([pi[g].sum() for g in groups])
+    expected = [
+        totals,
+        np.array([(pi[g] * lam[g]).sum() for g in groups])
+        / np.maximum(totals, 1e-300),
+        *(np.array([s[g].sum() for g in groups]) for s in stats),
+    ]
+    got = merge_similar_components(pi, lam, rel_tol=rel_tol, stats=stats)
+    assert len(got) == len(expected)
+    for value, want in zip(got, expected):
+        assert value.dtype == want.dtype
+        assert np.array_equal(value, want)
 
 
 @given(mixtures(), st.integers(0, 2**31 - 1))
