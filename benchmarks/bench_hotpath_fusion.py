@@ -9,9 +9,9 @@ Trains the Alex-CIFAR timing configuration (the Figures 5-7 setup, run
 
 It writes ``BENCH_hotpath.json`` with per-phase attribution (the
 ``phase/estep`` … ``phase/sgd`` timer totals per mode), a per-layer
-table of forward and backward seconds per mode (``layers``, timed by a
-wrapper local to this bench), and checks that the run is the same
-experiment as the legacy two-evaluation path it replaced:
+table of forward and backward seconds and calls per mode (``layers``,
+timed by a wrapper local to this bench), and checks that the run is the
+same experiment as the legacy two-evaluation path it replaced:
 
 - every float64 epoch loss is within 1e-12 of the legacy losses
   frozen below from the committed ``BENCH_hotpath.json`` of that path;
@@ -21,10 +21,20 @@ experiment as the legacy two-evaluation path it replaced:
   where the legacy path evaluated 2880.
 
 The float64 loss gate also certifies the conv, pool and LRN arithmetic
-(the channel-last window unfold, the transposed-conv input gradient,
-slice pooling, the LRN window sum): every forward and backward of the
-model feeds those losses.  The payload's ``env`` block records the
-host, library versions and git sha the run used.
+(the channel-last window unfold cropped to the taps that reach the
+input, the phase-split transposed-conv input gradient, slice pooling,
+the LRN window sum): every forward and backward of the model feeds
+those losses.  Alex-CIFAR's convolutions all have stride 1, so the gate
+sees one phase; ``tests/nn`` checks the strided phases.  The payload's
+``env`` block records the host, library versions and git sha the run
+used.
+
+The ``resnet`` record times the paper's second model the same way:
+``resnet_bench_config`` (ResNet at bench scale, float64, eager GM) for
+2 epochs (1 with ``--quick``), with a row per layer and per child of
+each residual block, so the stride-2 convolutions of ``3a`` and ``4a``
+(``3a-br1-conv1``, ``3a-br2-conv``, ...) have rows of their own.  A
+block's row includes its children's time.  It has no gate.
 
 The speed of this path is measured end to end by the ``train_eager``
 and ``train_lazy`` workloads of ``benchmarks/e2e`` (parent against
@@ -43,7 +53,7 @@ import time
 
 import numpy as np
 
-from repro.experiments.deep import load_image_data, train_deep
+from repro.experiments.deep import load_image_data, resnet_bench_config, train_deep
 from repro.experiments.timing import timing_bench_config
 from repro.telemetry import Callback, bench_filename, bench_payload, write_bench_json
 
@@ -77,8 +87,9 @@ PHASES = ("estep", "grad", "mstep", "sgd")
 
 
 class LayerTimer(Callback):
-    """Seconds spent in each layer's ``forward`` and ``backward`` during
-    ``fit``.
+    """Seconds spent in, and calls of, each layer's ``forward`` and
+    ``backward`` during ``fit``, for every layer and every child of a
+    composite layer (``children()``).
 
     The wrappers go onto the layer instances at train start and come off
     at train end, so the model code carries no timers and the final
@@ -90,10 +101,18 @@ class LayerTimer(Callback):
         self._wrapped = []
 
     def on_train_start(self, ctx):
-        for layer in ctx.model.layers:
-            row = self.layers.setdefault(layer.name, {"fwd_s": 0.0, "bwd_s": 0.0})
-            self._wrap(layer, "forward", row, "fwd_s")
-            self._wrap(layer, "backward", row, "bwd_s")
+        self._wrap_layers(ctx.model.layers)
+
+    def _wrap_layers(self, layers):
+        for layer in layers:
+            row = self.layers.setdefault(
+                layer.name, {"fwd_s": 0.0, "bwd_s": 0.0, "fwd_calls": 0, "bwd_calls": 0}
+            )
+            self._wrap(layer, "forward", row, "fwd")
+            self._wrap(layer, "backward", row, "bwd")
+            children = getattr(layer, "children", None)
+            if callable(children):
+                self._wrap_layers(children())
 
     def _wrap(self, layer, attr, row, column):
         inner = getattr(layer, attr)
@@ -103,7 +122,8 @@ class LayerTimer(Callback):
             try:
                 return inner(*args, **kwargs)
             finally:
-                row[column] += time.perf_counter() - start
+                row[f"{column}_s"] += time.perf_counter() - start
+                row[f"{column}_calls"] += 1
 
         setattr(layer, attr, timed)
         self._wrapped.append((layer, attr))
@@ -144,26 +164,42 @@ def run_benchmark(quick: bool = False):
             "layers": timer.layers,
         }
 
+    resnet_config = resnet_bench_config(epochs=1 if quick else 2)
+    timer = LayerTimer()
+    result = train_deep(resnet_config, callbacks=[timer])
+    resnet = {
+        "config": config_record(resnet_config),
+        "wall_seconds": float(result.history.cumulative_times()[-1]),
+        "phases": {p: result.phase_seconds().get(p, 0.0) for p in PHASES},
+        "losses": [float(v) for v in result.history.losses()],
+        "layers": timer.layers,
+    }
+
     payload = bench_payload(
         "hotpath",
         metrics={},
         extra={
             "quick": quick,
-            "config": {
-                "model": config.model,
-                "image_size": config.image_size,
-                "n_train": config.n_train,
-                "epochs": config.epochs,
-                "batch_size": config.batch_size,
-            },
+            "config": config_record(config),
             "legacy_losses": list(legacy),
             "max_loss_diff": MAX_LOSS_DIFF,
             "max_loss_diff_f32": MAX_LOSS_DIFF_F32,
             "modes": modes,
+            "resnet": resnet,
         },
     )
     path = write_bench_json(bench_filename("hotpath"), payload)
     return payload, path
+
+
+def config_record(config):
+    return {
+        "model": config.model,
+        "image_size": config.image_size,
+        "n_train": config.n_train,
+        "epochs": config.epochs,
+        "batch_size": config.batch_size,
+    }
 
 
 def check_claims(payload):
@@ -211,6 +247,18 @@ def format_report(payload, path):
         lines.append(
             f"{name:10s} "
             + " ".join(f"{c['fwd_s']:7.3f}/{c['bwd_s']:<7.3f}" for c in cells)
+        )
+    resnet = extra["resnet"]
+    lines.append(
+        f"resnet (float64, {resnet['config']['epochs']} epochs, "
+        f"{resnet['wall_seconds']:.2f}s): per layer, forward/backward "
+        f"seconds and ms per call:"
+    )
+    for name, c in resnet["layers"].items():
+        lines.append(
+            f"{name:14s} {c['fwd_s']:7.3f}/{c['bwd_s']:<7.3f} "
+            f"{1e3 * c['fwd_s'] / c['fwd_calls']:7.3f}/"
+            f"{1e3 * c['bwd_s'] / c['bwd_calls']:<7.3f}"
         )
     lines.append(
         f"gates: float64 epoch losses within {extra['max_loss_diff']:.0e} "

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ...core.fusion import Workspace
 from ...rng import default_generator
-from ..im2col import conv_input_grad, im2col
+from ..im2col import conv_input_grad, im2col, tap_window
 from .base import Layer
 
 __all__ = ["Conv2D"]
@@ -18,8 +18,12 @@ class Conv2D(Layer):
     """Cross-correlation with learned filters, ``(N, C, H, W)`` shapes.
 
     The output is channel-last in memory (see :mod:`repro.nn.im2col`);
-    ``weight`` keeps its ``(OC, C, kh, kw)`` shape.  As a network's
-    first layer, :meth:`backward` computes only the parameter gradients.
+    ``weight`` keeps its ``(OC, C, kh, kw)`` shape.  The unfold and the
+    GEMMs run over the kernel taps that can reach a real cell of the
+    input (:func:`~repro.nn.im2col.tap_window`, worked out from the
+    input's shape on every call); the others multiply only padding, and
+    their weight gradient is exactly zero.  As a network's first layer,
+    :meth:`backward` computes only the parameter gradients.
 
     Parameters
     ----------
@@ -92,13 +96,17 @@ class Conv2D(Layer):
             )
         n = x.shape[0]
         k = self.kernel_size
+        rows, cols = self._taps(x.shape)
         col, out_h, out_w = im2col(
             x, k, k, self.stride, self.pad,
             workspace=self._workspace if training else None,
+            taps=(rows, cols),
         )
-        # (OC, kh*kw*C) in the patch columns' [kh][kw][c] order; its
+        # (OC, th*tw*C) in the patch columns' [th][tw][c] order; its
         # transpose is BLAS's transposed operand, not a copy.
-        w_mat = self.weight.transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
+        w_mat = self.weight[:, :, rows, cols].transpose(0, 2, 3, 1).reshape(
+            self.out_channels, -1
+        )
         out = col @ w_mat.T
         out += self.bias
         if training:
@@ -113,17 +121,30 @@ class Conv2D(Layer):
     def backward(self, grad_out: np.ndarray) -> Optional[np.ndarray]:
         if self._col is None or self._input_shape is None:
             raise RuntimeError(f"{self.name}: backward before training forward")
-        k = self.kernel_size
+        rows, cols = self._taps(self._input_shape)
         # (N*OH*OW, OC) aligned with the im2col rows; a free view when
         # grad_out is channel-last.
         grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.grads["weight"][...] = (grad_mat.T @ self._col).reshape(
-            self.out_channels, k, k, self.in_channels
+        grad_w = self.grads["weight"]
+        block = (grad_mat.T @ self._col).reshape(
+            self.out_channels, rows.stop - rows.start, cols.stop - cols.start,
+            self.in_channels,
         ).transpose(0, 3, 1, 2)
+        if block.shape != grad_w.shape:
+            # The taps outside the window met only padding.
+            grad_w.fill(0.0)
+        grad_w[:, :, rows, cols] = block
         self.grads["bias"][...] = grad_mat.sum(axis=0)
         if not self.input_grad:
             return None
         return conv_input_grad(
-            grad_out, self.weight, self._input_shape, self.stride, self.pad,
-            workspace=self._workspace,
+            grad_out, self.weight[:, :, rows, cols], self._input_shape,
+            self.stride, self.pad, workspace=self._workspace,
+            origin=(rows.start, cols.start),
         )
+
+    def _taps(self, shape: Tuple[int, ...]) -> Tuple[slice, slice]:
+        """The kernel rows and columns that can reach a real cell of an
+        ``(N, C, H, W)`` input of ``shape``."""
+        k, stride, pad = self.kernel_size, self.stride, self.pad
+        return tap_window(shape[2], k, stride, pad), tap_window(shape[3], k, stride, pad)

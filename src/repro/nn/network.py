@@ -134,7 +134,7 @@ class Network:
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Class predictions, evaluated in inference mode in chunks."""
-        outputs = []
+        outputs = [np.empty(0, dtype=np.intp)]
         for lo in range(0, x.shape[0], batch_size):
             logits = self.forward(x[lo : lo + batch_size], training=False)
             outputs.append(np.argmax(logits, axis=1))

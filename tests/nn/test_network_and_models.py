@@ -105,6 +105,13 @@ def test_predict_batched_matches_full(rng):
     assert np.array_equal(net.predict(x, batch_size=7), net.predict(x))
 
 
+def test_predict_on_zero_rows_returns_empty_labels(rng):
+    net = tiny_mlp()
+    labels = net.predict(np.empty((0, 8)))
+    assert labels.shape == (0,)
+    assert labels.dtype == net.predict(rng.normal(size=(2, 8))).dtype
+
+
 def test_empty_network_rejected():
     with pytest.raises(ValueError):
         Network([])
