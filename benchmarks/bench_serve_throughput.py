@@ -5,6 +5,10 @@ Replays a burst of single-row predict requests against the
 (``max_batch_size=32``) and once fully unbatched (``max_batch_size=1``)
 — over the same MLP scoring the same synthetic-dataset rows, and writes
 ``BENCH_serve.json`` with QPS and p50/p99 latency for both modes.
+A third record, ``single_block``, sends the same rows one
+``max_batch_size``-row ``predict_many`` at a time — the online loop's
+call shape, a lone full block that the caller scores on its own
+thread — and reports calls/s and p50/p99 per call.
 
 Both modes send the burst through ``predict_many``, which keys its rows
 in one pass and queues the misses as blocks of at most
@@ -16,9 +20,9 @@ The run asserts the paper-stack deployment claims:
 
 - batched QPS >= 3x unbatched QPS at batch size 32;
 - the served hard predictions are bit-identical across the batched
-  path, the unbatched path and a direct per-row model loop (probability
-  scores may differ by ulps — BLAS reduction order depends on the batch
-  shape — but labels must not).
+  path, the unbatched path, the single-block calls and a direct per-row
+  model loop (probability scores may differ by ulps — BLAS reduction
+  order depends on the batch shape — but labels must not).
 
 Run standalone (CI) or under pytest-benchmark like the other benches::
 
@@ -41,6 +45,8 @@ from repro.telemetry import bench_filename, bench_payload, write_bench_json
 
 BATCH_SIZE = 32
 WIDTHS = (768, 384)
+#: Timed single-block calls at least: ten of them lie beyond the p99.
+BLOCK_CALLS = 1000
 
 
 def build_workload(quick: bool):
@@ -71,14 +77,9 @@ def build_workload(quick: bool):
     return x, model
 
 
-def serve_burst(model, x, max_batch_size, repeats=3):
-    """Push every row through a server; returns (labels, qps, stats).
-
-    The first pass is an untimed warm-up (worker-thread spin-up, BLAS
-    first-touch); the burst then repeats and the best pass is reported,
-    the usual way to reject scheduler noise on shared CI runners.
-    """
-    server = ModelServer(
+def make_server(model, x, max_batch_size):
+    """The server every mode measures, at ``max_batch_size``."""
+    return ModelServer(
         model=model,
         max_batch_size=max_batch_size,
         batch_timeout=0.0,        # burst load keeps the queue full anyway
@@ -86,6 +87,16 @@ def serve_burst(model, x, max_batch_size, repeats=3):
         workers=1,                # single dispatcher = clean mode comparison
         cache_size=0,             # every request must hit the model
     )
+
+
+def serve_burst(model, x, max_batch_size, repeats=3):
+    """Push every row through a server; returns (labels, qps, stats).
+
+    The first pass is an untimed warm-up (worker-thread spin-up, BLAS
+    first-touch); the burst then repeats and the best pass is reported,
+    the usual way to reject scheduler noise on shared CI runners.
+    """
+    server = make_server(model, x, max_batch_size)
     with server:
         server.predict_many(x[:64])  # warm-up, untimed
         best = None
@@ -98,16 +109,42 @@ def serve_burst(model, x, max_batch_size, repeats=3):
     return labels, len(x) / best, stats
 
 
+def serve_single_blocks(model, x):
+    """One ``BATCH_SIZE``-row ``predict_many`` at a time over every row.
+
+    After an untimed warm-up call, passes over the rows repeat until at
+    least ``BLOCK_CALLS`` calls are timed.  Returns the labels of every
+    pass (one row per pass), calls/s over all of them and the per-call
+    seconds.
+    """
+    blocks = [x[lo:lo + BATCH_SIZE] for lo in range(0, len(x), BATCH_SIZE)]
+    passes = -(-BLOCK_CALLS // len(blocks))
+    labels, calls = [], []
+    with make_server(model, x, BATCH_SIZE) as server:
+        server.predict_many(blocks[0])  # warm-up, untimed
+        for _ in range(passes):
+            for block in blocks:
+                start = time.perf_counter()
+                labels += server.predict_many(block)
+                calls.append(time.perf_counter() - start)
+    calls = np.array(calls)
+    return np.array(labels).reshape(passes, -1), len(calls) / calls.sum(), calls
+
+
 def run_benchmark(quick: bool = False):
     x, model = build_workload(quick)
     reference = np.array([model.predict(row[np.newaxis, :])[0] for row in x])
 
     batched_labels, batched_qps, batched = serve_burst(model, x, BATCH_SIZE)
     unbatched_labels, unbatched_qps, unbatched = serve_burst(model, x, 1)
+    block_labels, block_calls_per_s, block_calls = serve_single_blocks(
+        model, x
+    )
 
     bit_identical = bool(
         np.array_equal(batched_labels, reference)
         and np.array_equal(unbatched_labels, reference)
+        and all(np.array_equal(labels, reference) for labels in block_labels)
     )
     speedup = batched_qps / unbatched_qps
 
@@ -133,6 +170,14 @@ def run_benchmark(quick: bool = False):
                 "p50_ms": unbatched["latency_p50_ms"],
                 "p99_ms": unbatched["latency_p99_ms"],
             },
+            "single_block": {
+                "max_batch_size": BATCH_SIZE,
+                "calls": int(len(block_calls)),
+                "calls_per_s": block_calls_per_s,
+                "rows_per_s": block_calls_per_s * BATCH_SIZE,
+                "p50_ms": float(np.quantile(block_calls, 0.50) * 1e3),
+                "p99_ms": float(np.quantile(block_calls, 0.99) * 1e3),
+            },
             "speedup_qps": speedup,
             "bit_identical_predictions": bit_identical,
         },
@@ -144,7 +189,8 @@ def run_benchmark(quick: bool = False):
 def check_claims(payload):
     extra = payload["extra"]
     assert extra["bit_identical_predictions"], (
-        "served labels differ between batched/unbatched/per-row paths"
+        "served labels differ between batched/unbatched/single-block/"
+        "per-row paths"
     )
     assert extra["speedup_qps"] >= 3.0, (
         f"micro-batching speedup {extra['speedup_qps']:.2f}x < 3x "
@@ -164,6 +210,13 @@ def format_report(payload, path):
             f"{mode:10s} qps={m['qps']:9.0f}  mean_batch={m['mean_batch_size']:5.1f}"
             f"  p50={m['p50_ms']:8.3f}ms  p99={m['p99_ms']:8.3f}ms"
         )
+    block = extra["single_block"]
+    lines.append(
+        f"{'1 block':10s} calls/s={block['calls_per_s']:7.0f}  "
+        f"rows/s={block['rows_per_s']:8.0f}  p50={block['p50_ms']:8.3f}ms  "
+        f"p99={block['p99_ms']:8.3f}ms  ({block['calls']} calls of "
+        f"{block['max_batch_size']} rows)"
+    )
     lines.append(
         f"speedup: {extra['speedup_qps']:.2f}x at batch size "
         f"{extra['batched']['max_batch_size']}  "

@@ -21,7 +21,12 @@ queued rows as one ``(32, d)`` batch costs barely more than scoring one
   through a caller-provided ``dispatch(method, rows)`` function, and the
   per-row results are sliced back to each waiting block;
 - a queued (not yet dispatched) block can be **cancelled**, which is
-  how per-request deadlines degrade gracefully instead of erroring.
+  how per-request deadlines degrade gracefully instead of erroring;
+- ``workers`` is also the number of **dispatch slots**: a caller holding
+  a block that could coalesce with nothing may score it on its own
+  thread through :meth:`MicroBatcher.try_dispatch` while a slot is
+  free, and workers and such callers together never run more than
+  ``workers`` dispatches at once.
 
 The batcher knows nothing about models, caches or metrics — the
 :class:`~repro.serve.server.ModelServer` composes those around it.
@@ -126,8 +131,9 @@ class MicroBatcher:
         Bound on queued (not yet dispatched) rows — the backpressure
         limit.
     workers:
-        Worker threads pulling batches.  With CPython's GIL more
-        workers mainly help when the model releases the GIL inside
+        Worker threads pulling batches, and the dispatch slots they
+        share with :meth:`try_dispatch` callers.  With CPython's GIL
+        more workers mainly help when the model releases the GIL inside
         BLAS; the default stays small.
     """
 
@@ -153,6 +159,12 @@ class MicroBatcher:
         self.max_queue = int(max_queue)
         self._queue: "deque[ServeRequest]" = deque()
         self._queued_rows = 0
+        # Dispatches in flight, workers' and callers' together; at most
+        # ``workers``.  A worker holds its slot from taking a batch until
+        # it comes back for the next one, so the count moves under the
+        # lock acquisitions the workers make anyway.
+        self._slots = int(workers)
+        self._busy = 0
         self._cond = threading.Condition()
         self._stopping = False
         self._threads = [
@@ -208,6 +220,49 @@ class MicroBatcher:
             self._cond.notify(accepted)
             return accepted
 
+    def try_dispatch(self, request: ServeRequest, dispatch: DispatchFn) -> bool:
+        """Score ``request`` on the calling thread if a slot is free.
+
+        For a block no queued batch could add rows to: it skips the
+        queue hand-off and pays no ``batch_timeout``.  ``dispatch`` is
+        the caller's own ``(method, rows)`` function.  Returns ``False``
+        without running anything when every slot is busy, so the caller
+        queues the block instead; otherwise the result, or the error
+        (an ``Exception``) of the dispatch is delivered to ``request``
+        as a worker would deliver it.
+
+        Raises :class:`ServerClosed` once :meth:`close` has begun.
+        """
+        with self._cond:
+            if self._stopping:
+                raise ServerClosed()
+            if self._busy >= self._slots:
+                return False
+            self._busy += 1
+            request.state = _DISPATCHED
+        try:
+            results = dispatch(request.method, request.rows)
+            if len(results) != len(request):
+                raise RuntimeError(
+                    f"dispatch returned {len(results)} results for a "
+                    f"block of {len(request)} rows"
+                )
+            request.result = results
+        except Exception as exc:  # delivered like a failed batch
+            request.error = exc
+        finally:
+            with self._cond:
+                self._busy -= 1
+                # Wake a worker only for work it could not start while
+                # this slot was taken, or for close() waiting on it.
+                if self._stopping:
+                    self._cond.notify_all()
+                elif self._queue:
+                    self._cond.notify()
+        request.state = _DONE
+        request.event.set()
+        return True
+
     def cancel(self, request: ServeRequest) -> bool:
         """Remove a still-queued block; ``False`` once dispatch began."""
         with self._cond:
@@ -251,13 +306,17 @@ class MicroBatcher:
             taken.append(head)
         return taken
 
-    def _collect_batch(self) -> List[ServeRequest]:
-        """Block until a batch is ready (or empty list at shutdown)."""
+    def _collect_batch(self, finished: bool) -> List[ServeRequest]:
+        """Block until a batch and a slot are ready (or empty list at
+        shutdown); ``finished`` gives back the slot of the last batch."""
         with self._cond:
-            while not self._queue:
-                if self._stopping:
+            if finished:
+                self._busy -= 1
+            while not self._queue or self._busy >= self._slots:
+                if self._stopping and not self._queue:
                     return []
                 self._cond.wait()
+            self._busy += 1
             method = self._queue[0].method
             batch = self._take_matching_locked(method, self.max_batch_size)
             if self.batch_timeout > 0.0:
@@ -288,8 +347,9 @@ class MicroBatcher:
         return batch
 
     def _run(self) -> None:
+        batch: List[ServeRequest] = []
         while True:
-            batch = self._collect_batch()
+            batch = self._collect_batch(finished=bool(batch))
             if not batch:
                 return
             try:
@@ -351,6 +411,8 @@ class MicroBatcher:
         # worker drain (e.g. zero live workers), fail it rather than
         # leave its waiter blocked forever.
         with self._cond:
+            while self._busy:  # a caller's try_dispatch still running
+                self._cond.wait()
             self._fail_queued_locked()
 
     def _fail_queued_locked(self) -> None:
@@ -370,7 +432,7 @@ class MicroBatcher:
 
     @property
     def workers(self) -> int:
-        """Number of dispatch worker threads."""
+        """Number of dispatch worker threads (and of dispatch slots)."""
         return len(self._threads)
 
     def __repr__(self) -> str:

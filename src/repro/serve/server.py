@@ -12,7 +12,12 @@ one row through :meth:`~ModelServer.request`, or a block of rows through
    method x version x row bytes);
 3. routes the misses to a :class:`~repro.serve.batching.MicroBatcher`,
    enqueues them as blocks of at most ``max_batch_size`` rows and
-   blocks until the coalesced dispatches slice their results back;
+   blocks until the coalesced dispatches slice their results back —
+   except a **lone full block**: when a call's misses form one block of
+   exactly ``max_batch_size`` rows, no queued work could join it, so
+   the caller scores it on its own thread while one of the batcher's
+   dispatch slots is free, and files the results under the keys it
+   already computed;
 4. degrades gracefully instead of failing: a **full queue** sheds a
    block to inline single-row model calls (``serve/shed_total``), and
    an expired **deadline** cancels the queued block and answers it the
@@ -62,16 +67,19 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import threading
 from types import TracebackType
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Type,
+)
 
 import numpy as np
 
 from ..telemetry import trace as tracing
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.trace import Tracer, add_event
-from .batching import DispatchFn, MicroBatcher, ServeRequest, ServerClosed
+from .batching import MicroBatcher, ServeRequest, ServerClosed
 from .cache import PredictionCache
 from .registry import ActiveModel, ModelRegistry
 from .resilience import BreakerOpen, FaultInjector, ResiliencePolicy
@@ -80,6 +88,8 @@ __all__ = ["ModelServer"]
 
 # (shard, row indices, queued block) — one block of a call's misses.
 _Block = Tuple[int, List[int], ServeRequest]
+# (version, keys) a caller looked a block's rows up under.
+_Keyed = Tuple[str, List[bytes]]
 
 
 class ModelServer:
@@ -162,6 +172,7 @@ class ModelServer:
         self._last_good: Optional[ActiveModel] = None
         self._closed = False
         self._close_lock = threading.Lock()
+        self._dispatches = self._dispatchers()
         self._batchers = [
             MicroBatcher(
                 dispatch,
@@ -170,7 +181,7 @@ class ModelServer:
                 max_queue=max_queue,
                 workers=workers,
             )
-            for dispatch in self._dispatchers()
+            for dispatch in self._dispatches
         ]
 
     @staticmethod
@@ -183,8 +194,13 @@ class ModelServer:
         if registry is not None and not name:
             raise ValueError("serving from a registry requires name=")
 
-    def _dispatchers(self) -> List[DispatchFn]:
-        """One dispatch callable per batcher; in-process, the model call."""
+    def _dispatchers(self) -> List[Callable[..., List[Any]]]:
+        """One dispatch per batcher; in-process, the model call.
+
+        Each is a :data:`~repro.serve.batching.DispatchFn` that also
+        takes ``keyed=``: the version and keys a caller looked a lone
+        full block up under, so that dispatch need not hash it again.
+        """
         return [self._dispatch]
 
     @property
@@ -392,7 +408,7 @@ class ModelServer:
 
     def _route(
         self, span: Any, method: str, rows: np.ndarray, misses: List[int]
-    ) -> Iterable[Tuple[int, List[int]]]:
+    ) -> Collection[Tuple[int, List[int]]]:
         """``(shard, row indices)`` buckets of a call's cache misses.
 
         In-process every miss goes to the one batcher, shard 0.
@@ -424,12 +440,14 @@ class ModelServer:
 
         Keys and looks up every row in one pass, buckets the misses per
         batcher (:meth:`_route`), queues each bucket as blocks of at
-        most ``max_batch_size`` rows, and degrades instead of failing:
-        blocks a full queue rejects, or whose ``deadline`` expires while
-        queued, are answered row by row inline, and blocks whose batch
-        failed go to :meth:`_rescue`.  Counters move once per call, in
-        rows; every row gets one latency sample, from ``start`` to when
-        its answer was in hand.
+        most ``max_batch_size`` rows — or, when the misses are one full
+        block, dispatches it on this thread if its batcher has a free
+        slot (:meth:`MicroBatcher.try_dispatch`) — and degrades instead
+        of failing: blocks a full queue rejects, or whose ``deadline``
+        expires while queued, are answered row by row inline, and blocks
+        whose batch failed go to :meth:`_rescue`.  Counters move once
+        per call, in rows; every row gets one latency sample, from
+        ``start`` to when its answer was in hand.
         """
         version, model = self._resolve()
         span.set_attribute("version", version)
@@ -466,7 +484,8 @@ class ModelServer:
         shed: List[_Block] = []
         waiting: List[_Block] = []
         if misses:
-            for shard, members in self._route(span, method, rows, misses):
+            buckets = self._route(span, method, rows, misses)
+            for shard, members in buckets:
                 batcher = self._batchers[shard]
                 size = batcher.max_batch_size
                 blocks: List[_Block] = []
@@ -482,6 +501,17 @@ class ModelServer:
                         method, block, enqueued_at=start,
                         context=self._capture_context(),
                     )))
+                if len(members) == size and len(buckets) == 1:
+                    # A lone full block: no queued work could join it,
+                    # so it is scored here if a dispatch slot is free.
+                    dispatch = functools.partial(
+                        self._dispatches[shard],
+                        keyed=None if keys is None
+                        else (version, [keys[i] for i in members]),
+                    )
+                    if batcher.try_dispatch(blocks[0][2], dispatch):
+                        waiting += blocks
+                        continue
                 accepted = batcher.submit_many(
                     [request for _shard, _index, request in blocks]
                 )
@@ -547,15 +577,19 @@ class ModelServer:
             )
         return results
 
-    def _dispatch(self, method: str, rows: np.ndarray) -> List[Any]:
+    def _dispatch(
+        self, method: str, rows: np.ndarray, keyed: Optional[_Keyed] = None
+    ) -> List[Any]:
         """Score a coalesced batch with a single model call.
 
-        Runs on a batcher worker thread; when the head block captured
-        its submit-time context the worker restored it around this
-        call, so the dispatch span parents to that request's span.
-        Without a restored span (untraced or unsampled submitter) the
-        dispatch is not traced — a parentless dispatch root would be an
-        orphan trace no summary could attach to a request.
+        Runs on a batcher worker thread, or on the caller's for a lone
+        full block (``keyed`` then carries the caller's keys); when the
+        head block captured its submit-time context the worker restored
+        it around this call, so the dispatch span parents to that
+        request's span.  Without a current span (untraced or unsampled
+        submitter on a worker) the dispatch is not traced — a parentless
+        dispatch root would be an orphan trace no summary could attach
+        to a request.
 
         The results are cached under the version resolved *here*, not
         the callers': a hot-swap between lookup and dispatch must never
@@ -572,19 +606,30 @@ class ModelServer:
             version, model = self._resolve()
             with self.metrics.timer("serve/dispatch_seconds"):
                 out = self._score(model, method, rows)
-        return self._batch_done(method, version, rows, list(out))
+        return self._batch_done(method, version, rows, list(out), keyed)
 
     def _batch_done(
-        self, method: str, version: str, rows: np.ndarray, values: List[Any]
+        self,
+        method: str,
+        version: str,
+        rows: np.ndarray,
+        values: List[Any],
+        keyed: Optional[_Keyed] = None,
     ) -> List[Any]:
-        """Count one dispatched batch and cache its rows under ``version``."""
+        """Count one dispatched batch and cache its rows under ``version``.
+
+        The rows are keyed again unless ``keyed`` holds their keys under
+        this same ``version``.
+        """
         self.metrics.counter("serve/batches_total").inc()
         self.metrics.histogram("serve/batch_size").observe(len(rows))
         self._gauge_depth()
         if self.cache.maxsize:
-            self._cache_put_many(
-                PredictionCache.make_keys(method, version, rows), values
-            )
+            if keyed is not None and keyed[0] == version:
+                keys = keyed[1]
+            else:
+                keys = PredictionCache.make_keys(method, version, rows)
+            self._cache_put_many(keys, values)
         return values
 
     def _cache_put_many(self, keys: List[bytes], values: List[Any]) -> None:

@@ -12,9 +12,10 @@ threads.  It keeps only the fleet:
   always reach the same worker and changing the fleet size moves only
   ~1/N of the keyspace;
 - **batching** — each shard has its own parent-side
-  :class:`~repro.serve.batching.MicroBatcher` (one dispatcher thread),
-  so coalescing semantics, cancellation and drain are exactly the
-  machinery the single-process path already proved out;
+  :class:`~repro.serve.batching.MicroBatcher` (one dispatcher thread,
+  so one dispatch slot per shard channel), so coalescing semantics,
+  cancellation, drain and the lone-full-block caller dispatch are
+  exactly the machinery the single-process path already proved out;
 - **dispatch** — a coalesced batch travels to its worker through a
   shared-memory slab (no per-request pickling) and the results fan
   back from the response slab, with worker-side timing recorded as a
@@ -42,14 +43,13 @@ import contextlib
 import functools
 import threading
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ...telemetry import trace as tracing
 from ...telemetry.metrics import MetricsRegistry
 from ...telemetry.trace import Tracer, add_event
-from ..batching import DispatchFn
 from ..registry import ModelRegistry
 from ..resilience import BreakerOpen, CircuitBreaker, ResiliencePolicy
 from ..server import ModelServer
@@ -192,7 +192,7 @@ class ShardedModelServer(ModelServer):
             widths[method] = max(1, int(out.reshape(1, -1).shape[1]))
         return widths
 
-    def _dispatchers(self) -> List[DispatchFn]:
+    def _dispatchers(self) -> List[Callable[..., List[Any]]]:
         """One batcher per shard, each dispatching to its own worker."""
         return [
             functools.partial(self._shard_dispatch, shard_id)
@@ -245,7 +245,7 @@ class ShardedModelServer(ModelServer):
 
     def _route(
         self, span: Any, method: str, rows: np.ndarray, misses: List[int]
-    ) -> Iterable[Tuple[int, List[int]]]:
+    ) -> Collection[Tuple[int, List[int]]]:
         """Bucket the misses by ring shard, skipping dead or breaker-open
         shards."""
         routable = [
@@ -293,11 +293,17 @@ class ShardedModelServer(ModelServer):
         return target
 
     def _shard_dispatch(
-        self, shard_id: int, method: str, rows: np.ndarray
+        self,
+        shard_id: int,
+        method: str,
+        rows: np.ndarray,
+        keyed: Optional[Tuple[str, List[bytes]]] = None,
     ) -> List[Any]:
         """Score one coalesced batch on shard ``shard_id``'s worker.
 
-        Runs on that shard's dispatcher thread.  A dead worker raises
+        Runs on that shard's dispatcher thread, or on the caller's for a
+        lone full block (``keyed`` then carries the caller's keys, as
+        for :meth:`ModelServer._dispatch`).  A dead worker raises
         :class:`~repro.serve.sharding.shm.ShardDead` through the
         breaker (tripping it), triggers an eager respawn, and the
         batcher delivers the error to every waiting block — which
@@ -343,7 +349,7 @@ class ShardedModelServer(ModelServer):
             f"serve/shard/{shard_id}/requests_total"
         ).inc(float(len(rows)))
         values = [result.row_value(i) for i in range(len(rows))]
-        return self._batch_done(method, result.version, batch, values)
+        return self._batch_done(method, result.version, batch, values, keyed)
 
     def _gauge_depth(self) -> None:
         depth = 0

@@ -16,7 +16,9 @@ from repro.serve import (
     PredictionCache,
     ResiliencePolicy,
     RetryPolicy,
+    ServerClosed,
 )
+from repro.serve.batching import ServeRequest
 from repro.serve.sharding import ShardedModelServer
 
 D = 12
@@ -523,3 +525,289 @@ def test_registry_server_requires_name(model):
         ModelServer(registry=ModelRegistry())
     with pytest.raises(ValueError):
         ModelServer()
+
+
+# ----------------------------------------------------------------------
+# A lone full block is scored on the calling thread
+# ----------------------------------------------------------------------
+class ThreadRecorder:
+    """Wraps a model and records which thread made each call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def predict(self, batch):
+        self.calls.append((threading.current_thread(), len(batch)))
+        return self.inner.predict(batch)
+
+
+def test_lone_full_block_is_scored_on_the_calling_thread_keyed_once(
+    model, x, monkeypatch
+):
+    hashed = []
+    make_keys = PredictionCache.make_keys
+
+    def counting_make_keys(method, version, rows):
+        hashed.append(len(rows))
+        return make_keys(method, version, rows)
+
+    monkeypatch.setattr(
+        PredictionCache, "make_keys", staticmethod(counting_make_keys)
+    )
+    recorder = ThreadRecorder(model)
+    with ModelServer(model=recorder, max_batch_size=32) as server:
+        got = server.predict_many(x[:32])
+        stats = server.stats()
+        cached = server.cache.get_many(make_keys("predict", "v0", x[:32]))
+    assert np.array_equal(np.array(got), model.predict(x[:32]))
+    assert recorder.calls == [(threading.current_thread(), 32)]
+    # Looked up and filed under the same keys: each row hashed once.
+    assert hashed == [32]
+    assert [value for hit, value in cached if hit] == got
+    assert stats["batches"] == 1 and stats["mean_batch_size"] == 32
+    assert _accounted(stats) == stats["requests"] == 32
+
+
+@pytest.mark.parametrize("rows", [31, 64, 1], ids=["partial", "two_blocks",
+                                                   "single_rows"])
+def test_partial_multi_block_and_single_row_calls_use_the_workers(
+    model, x, rows
+):
+    recorder = ThreadRecorder(model)
+    with ModelServer(model=recorder, max_batch_size=32, cache_size=0) as server:
+        if rows == 1:
+            got = [server.predict(row) for row in x[:4]]
+            expected = model.predict(x[:4])
+        else:
+            got = server.predict_many(x[:rows])
+            expected = model.predict(x[:rows])
+    assert np.array_equal(np.array(got), expected)
+    assert recorder.calls
+    assert all(
+        thread.name.startswith("serve-worker-")
+        for thread, _size in recorder.calls
+    )
+
+
+class ConcurrencyProbe:
+    """A slow model that records the most calls it ever ran at once."""
+
+    def __init__(self, inner, delay):
+        self.inner = inner
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.running = 0
+        self.high_water = 0
+        self.threads = set()
+
+    def predict(self, batch):
+        with self.lock:
+            self.running += 1
+            self.high_water = max(self.high_water, self.running)
+            self.threads.add(threading.current_thread().name)
+        try:
+            time.sleep(self.delay)
+            return self.inner.predict(batch)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def test_callers_and_workers_never_exceed_the_dispatch_slots(model, x):
+    probe = ConcurrencyProbe(model, delay=0.002)
+    server = ModelServer(
+        model=probe, max_batch_size=8, batch_timeout=0.0, max_queue=256,
+        workers=2, cache_size=0,
+    )
+    errors = []
+
+    def caller(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(15):
+                lo = int(rng.integers(0, len(x) - 20))
+                lone = server.predict_many(x[lo:lo + 8])  # one full block
+                bulk = server.predict_many(x[lo:lo + 20])  # 3 queued blocks
+                single = server.predict(x[lo])
+                if not (
+                    np.array_equal(lone, model.predict(x[lo:lo + 8]))
+                    and np.array_equal(bulk, model.predict(x[lo:lo + 20]))
+                    and single == model.predict(x[lo:lo + 1])[0]
+                ):
+                    raise AssertionError("wrong answer")
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=caller, args=(seed,)) for seed in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        # close() waits for every slot to come back: a lost update to the
+        # in-flight count would hang it, or have let a third call run.
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    stats = server.stats()
+    assert stats["shed"] == 0  # every model call held a dispatch slot
+    assert probe.high_water == 2
+    # Both kinds of dispatcher ran: callers' threads and the workers.
+    assert any(name.startswith("serve-worker-") for name in probe.threads)
+    assert any(not name.startswith("serve-worker-") for name in probe.threads)
+
+
+def test_close_waits_for_a_callers_dispatch(model, x):
+    entered, release = threading.Event(), threading.Event()
+    events = []
+
+    class Blocking:
+        def predict(self, batch):
+            entered.set()
+            release.wait(timeout=10.0)
+            events.append("scored")
+            return model.predict(batch)
+
+    server = ModelServer(model=Blocking(), max_batch_size=32, cache_size=0)
+    answers = []
+    caller = threading.Thread(
+        target=lambda: answers.append(server.predict_many(x[:32]))
+    )
+    caller.start()
+    assert entered.wait(timeout=5.0)
+
+    def close():
+        server.close(drain=True)
+        events.append("closed")
+
+    closer = threading.Thread(target=close)
+    closer.start()
+    deadline = time.monotonic() + 5.0
+    while not server.closed and time.monotonic() < deadline:
+        time.sleep(0.001)
+    closer.join(timeout=0.2)
+    assert closer.is_alive()  # held by the dispatch on the caller's thread
+    with pytest.raises(ServerClosed):
+        server.predict_many(x[32:64])
+    release.set()
+    closer.join(timeout=5.0)
+    caller.join(timeout=5.0)
+    assert not closer.is_alive() and not caller.is_alive()
+    assert events == ["scored", "closed"]
+    assert np.array_equal(answers[0], model.predict(x[:32]))
+
+
+def test_try_dispatch_refuses_once_closing_and_when_slots_are_busy():
+    entered, release = threading.Event(), threading.Event()
+
+    def blocking(method, rows):
+        entered.set()
+        release.wait(timeout=5.0)
+        return rows[:, 0]
+
+    batcher = MicroBatcher(blocking, max_batch_size=2, workers=1)
+    queued = ServeRequest("predict", np.zeros((2, 1)), 0.0)
+    assert batcher.submit(queued)
+    assert entered.wait(timeout=5.0)  # the one slot is the worker's
+    lone = ServeRequest("predict", np.ones((2, 1)), 0.0)
+    assert not batcher.try_dispatch(lone, blocking)
+    assert not lone.done()
+    release.set()
+    assert queued.event.wait(timeout=5.0)
+    batcher.close()
+    with pytest.raises(ServerClosed):
+        batcher.try_dispatch(lone, blocking)
+
+
+class FailsBatches:
+    """Fails every multi-row call; single rows (the rescue) succeed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.failed_on = []
+
+    def predict(self, batch):
+        if len(batch) > 1:
+            self.failed_on.append(threading.current_thread())
+            raise RuntimeError("bad batch")
+        return self.inner.predict(batch)
+
+
+def test_failed_callers_dispatch_is_rescued_in_rows(model, x):
+    failing = FailsBatches(model)
+    server = ModelServer(
+        model=failing, max_batch_size=32, cache_size=0,
+        resilience=ResiliencePolicy(retry=RetryPolicy(max_attempts=1)),
+    )
+    with server:
+        got = server.predict_many(x[:32])
+        stats = server.stats()
+    assert np.array_equal(np.array(got), model.predict(x[:32]))
+    assert failing.failed_on == [threading.current_thread()]
+    assert stats["rescued"] == stats["requests"] == 32
+    assert stats["batches"] == 0 and stats["shed"] == 0
+
+
+def test_failed_callers_dispatch_reraises_without_a_policy(model, x):
+    failing = FailsBatches(model)
+    with ModelServer(model=failing, max_batch_size=32, cache_size=0) as server:
+        with pytest.raises(RuntimeError, match="bad batch"):
+            server.predict_many(x[:32])
+        assert server.stats()["rescued"] == 0
+    assert failing.failed_on == [threading.current_thread()]
+
+
+def test_publish_between_lookup_and_callers_dispatch_keys_by_scorer(x):
+    scored_on = []
+
+    class Recording(LogisticRegression):
+        def predict_proba(self, batch):
+            scored_on.append(threading.current_thread())
+            return super().predict_proba(batch)
+
+    registry = ModelRegistry()
+    registry.register("m", lambda: Recording(D, weight_init_std=0.0))
+    m1 = Recording(D, rng=np.random.default_rng(3))
+    m2 = Recording(D, rng=np.random.default_rng(4))
+    old = registry.publish("m", m1)
+    rows = x[:32]
+    with ModelServer(registry=registry, name="m", max_batch_size=32) as server:
+        lookup = server.cache.get_many
+        published = []
+
+        def lookup_then_publish(keys):
+            found = lookup(keys)
+            if not published:  # lands after the lookup, before dispatch
+                published.append(registry.publish("m", m2))
+            return found
+
+        server.cache.get_many = lookup_then_publish
+        got = server.predict_many(rows, method="predict_proba")
+        assert scored_on == [threading.current_thread()]
+        del server.cache.get_many
+        new = published[0]
+        under_old = server.cache.get_many(
+            PredictionCache.make_keys("predict_proba", old, rows)
+        )
+        under_new = server.cache.get_many(
+            PredictionCache.make_keys("predict_proba", new, rows)
+        )
+    assert old != new
+    expected = m2.predict_proba(rows)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    # Filed under the version that scored them, never the lookup's.
+    assert not any(hit for hit, _value in under_old)
+    assert all(hit for hit, _value in under_new)
+    np.testing.assert_allclose(
+        [value for _hit, value in under_new], expected, rtol=0.0, atol=1e-12
+    )

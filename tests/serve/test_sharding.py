@@ -1,5 +1,6 @@
 """Sharded tier: equivalence, chaos recovery, hot-swap, health."""
 
+import threading
 import time
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from repro.linear.logistic import LogisticRegression
 from repro.serve import ModelRegistry, ModelServer, ServerClosed
 from repro.serve.sharding import ShardedModelServer
+from repro.serve.sharding.hashing import routing_key
+from repro.telemetry.trace import Tracer
 
 D = 12
 
@@ -78,6 +81,48 @@ def test_same_row_always_routes_to_same_shard(model, x):
         assert len(active) == 1  # content-hashed: one owner per row
     finally:
         srv.close()
+
+
+def test_lone_full_block_is_scored_by_its_shard_worker(model):
+    tracer = Tracer(sample_rate=1.0)
+    srv = ShardedModelServer(
+        model=model, n_shards=2, max_batch_size=32, monitor_interval=0.02,
+        tracer=tracer,
+    )
+    try:
+        pool = np.random.default_rng(9).normal(size=(256, D))
+        owner = [
+            srv.ring.route(routing_key("predict", row.tobytes()))
+            for row in pool
+        ]
+        shard = owner[0]
+        rows = pool[[i for i, o in enumerate(owner) if o == shard][:32]]
+        assert len(rows) == 32  # every miss on one shard: one full block
+        channel = srv.supervisor.handles[shard].channel
+        score, crossings = channel.score, []
+
+        def recording_score(*args):
+            crossings.append(threading.current_thread())
+            return score(*args)
+
+        channel.score = recording_score
+        got = srv.predict_many(rows)
+        counters = srv.stats()["metrics"]["counters"]
+    finally:
+        srv.close()
+    assert np.array_equal(np.asarray(got), model.predict(rows))
+    # The caller's thread crossed into the owning shard's worker process;
+    # the parent's fallback snapshot scored nothing.
+    assert crossings == [threading.current_thread()]
+    assert counters[f"serve/shard/{shard}/batches_total"] == 1
+    assert f"serve/shard/{1 - shard}/batches_total" not in counters
+    spans = {span["name"]: span for span in tracer.buffer.spans()}
+    request = spans["serve/predict_many"]
+    dispatch = spans["serve/shard_dispatch"]
+    worker = spans["serve/worker_score"]
+    assert dispatch["parent_id"] == request["span_id"]
+    assert worker["parent_id"] == dispatch["span_id"]
+    assert worker["attributes"]["shard"] == shard
 
 
 # ----------------------------------------------------------------------
