@@ -8,7 +8,11 @@ Replays a burst of single-row predict requests against the
 A third record, ``single_block``, sends the same rows one
 ``max_batch_size``-row ``predict_many`` at a time — the online loop's
 call shape, a lone full block that the caller scores on its own
-thread — and reports calls/s and p50/p99 per call.
+thread — and reports calls/s and p50/p99 per call.  A fourth,
+``single_rows``, is the e2e ``serve`` workload's traffic shape: two
+threads send single-row ``predict`` calls to a server with default
+settings (2 ms ``batch_timeout``, 2 workers), and it reports process
+CPU µs per request, batches, mean batch size and p50/p99 per call.
 
 Both modes send the burst through ``predict_many``, which keys its rows
 in one pass and queues the misses as blocks of at most
@@ -20,33 +24,56 @@ The run asserts the paper-stack deployment claims:
 
 - batched QPS >= 3x unbatched QPS at batch size 32;
 - the served hard predictions are bit-identical across the batched
-  path, the unbatched path, the single-block calls and a direct per-row
-  model loop (probability scores may differ by ulps — BLAS reduction
-  order depends on the batch shape — but labels must not).
+  path, the unbatched path, the single-block calls, the single-row
+  calls and a direct per-row model loop (probability scores may differ
+  by ulps — BLAS reduction order depends on the batch shape — but
+  labels must not).
 
 Run standalone (CI) or under pytest-benchmark like the other benches::
 
     PYTHONPATH=src python benchmarks/bench_serve_throughput.py --quick
     PYTHONPATH=src python -m pytest benchmarks/bench_serve_throughput.py
+
+Run as a script it uses one BLAS thread, as ``benchmarks/e2e/run.py``
+does, so OpenBLAS's thread pool cannot compete with the serving threads
+for the CPUs in an unpinned run.
 """
 
-import argparse
-import sys
-import time
+import os
 
-import numpy as np
+if __name__ == "__main__":
+    # Must be set before numpy is imported.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
 
-from repro.datasets.preprocessing import TabularEncoder
-from repro.datasets.synthetic import CategoricalSpec, TabularSchema, generate_dataset
-from repro.nn import Network
-from repro.nn.layers import Dense, ReLU
-from repro.serve import ModelServer
-from repro.telemetry import bench_filename, bench_payload, write_bench_json
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import threading  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.datasets.preprocessing import TabularEncoder  # noqa: E402
+from repro.datasets.synthetic import (  # noqa: E402
+    CategoricalSpec,
+    TabularSchema,
+    generate_dataset,
+)
+from repro.nn import Network  # noqa: E402
+from repro.nn.layers import Dense, ReLU  # noqa: E402
+from repro.serve import ModelServer  # noqa: E402
+from repro.telemetry import (  # noqa: E402
+    bench_filename,
+    bench_payload,
+    write_bench_json,
+)
 
 BATCH_SIZE = 32
 WIDTHS = (768, 384)
 #: Timed single-block calls at least: ten of them lie beyond the p99.
 BLOCK_CALLS = 1000
+#: Threads sending the ``single_rows`` calls, as in the e2e ``serve``.
+SENDERS = 2
 
 
 def build_workload(quick: bool):
@@ -131,6 +158,42 @@ def serve_single_blocks(model, x):
     return np.array(labels).reshape(passes, -1), len(calls) / calls.sum(), calls
 
 
+def serve_single_rows(model, x):
+    """Every row as one single-row ``predict`` call, from ``SENDERS`` threads.
+
+    The server has default settings; each thread sends every
+    ``SENDERS``-th row, one call at a time.  After an untimed warm-up
+    the cache and metrics are cleared, so the timed pass starts cold.
+    Returns the labels in row order, the per-call seconds, the process
+    CPU seconds per call and the server's stats of the timed pass.
+    """
+    labels = [None] * len(x)
+    calls = np.zeros(len(x))
+    with ModelServer(model=model) as server:
+        server.predict_many(x[:64])  # warm-up, untimed
+        server.cache.clear()
+        server.metrics.reset()
+
+        def send(first):
+            for i in range(first, len(x), SENDERS):
+                start = time.perf_counter()
+                labels[i] = server.predict(x[i])
+                calls[i] = time.perf_counter() - start
+
+        senders = [
+            threading.Thread(target=send, args=(first,))
+            for first in range(SENDERS)
+        ]
+        cpu = time.process_time()
+        for sender in senders:
+            sender.start()
+        for sender in senders:
+            sender.join()
+        cpu = time.process_time() - cpu
+        stats = server.stats()
+    return np.array(labels), calls, cpu / len(x), stats
+
+
 def run_benchmark(quick: bool = False):
     x, model = build_workload(quick)
     reference = np.array([model.predict(row[np.newaxis, :])[0] for row in x])
@@ -140,11 +203,13 @@ def run_benchmark(quick: bool = False):
     block_labels, block_calls_per_s, block_calls = serve_single_blocks(
         model, x
     )
+    row_labels, row_calls, row_cpu, rows = serve_single_rows(model, x)
 
     bit_identical = bool(
         np.array_equal(batched_labels, reference)
         and np.array_equal(unbatched_labels, reference)
         and all(np.array_equal(labels, reference) for labels in block_labels)
+        and np.array_equal(row_labels, reference)
     )
     speedup = batched_qps / unbatched_qps
 
@@ -178,6 +243,16 @@ def run_benchmark(quick: bool = False):
                 "p50_ms": float(np.quantile(block_calls, 0.50) * 1e3),
                 "p99_ms": float(np.quantile(block_calls, 0.99) * 1e3),
             },
+            "single_rows": {
+                "server": "ModelServer defaults",
+                "senders": SENDERS,
+                "calls": int(len(row_calls)),
+                "cpu_us_per_request": row_cpu * 1e6,
+                "batches": rows["batches"],
+                "mean_batch_size": rows["mean_batch_size"],
+                "p50_ms": float(np.quantile(row_calls, 0.50) * 1e3),
+                "p99_ms": float(np.quantile(row_calls, 0.99) * 1e3),
+            },
             "speedup_qps": speedup,
             "bit_identical_predictions": bit_identical,
         },
@@ -190,7 +265,7 @@ def check_claims(payload):
     extra = payload["extra"]
     assert extra["bit_identical_predictions"], (
         "served labels differ between batched/unbatched/single-block/"
-        "per-row paths"
+        "single-row/per-row paths"
     )
     assert extra["speedup_qps"] >= 3.0, (
         f"micro-batching speedup {extra['speedup_qps']:.2f}x < 3x "
@@ -216,6 +291,14 @@ def format_report(payload, path):
         f"rows/s={block['rows_per_s']:8.0f}  p50={block['p50_ms']:8.3f}ms  "
         f"p99={block['p99_ms']:8.3f}ms  ({block['calls']} calls of "
         f"{block['max_batch_size']} rows)"
+    )
+    single = extra["single_rows"]
+    lines.append(
+        f"{'1 row':10s} cpu={single['cpu_us_per_request']:6.0f}us/req  "
+        f"batches={single['batches']:5.0f}  "
+        f"mean_batch={single['mean_batch_size']:5.2f}  "
+        f"p50={single['p50_ms']:8.3f}ms  p99={single['p99_ms']:8.3f}ms  "
+        f"({single['calls']} calls from {single['senders']} threads)"
     )
     lines.append(
         f"speedup: {extra['speedup_qps']:.2f}x at batch size "

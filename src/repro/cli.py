@@ -363,7 +363,9 @@ def _cmd_serve(args) -> None:
         counters.get("serve/cache_hits_total", 0.0)
         + stats["shed"]
         + counters.get("serve/deadline_expired_total", 0.0)
-        + stats["metrics"]["histograms"]["serve/batch_size"].get("sum", 0.0)
+        + stats["metrics"]["histograms"].get("serve/batch_size", {}).get(
+            "sum", 0.0
+        )
         + stats["rescued"]
     )
     if accounted != n_requests:

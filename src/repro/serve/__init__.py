@@ -12,7 +12,9 @@ closes the repo's train → serve gap:
 :mod:`repro.serve.batching`
     :class:`MicroBatcher` — bounded FIFO + worker pool that coalesces
     concurrently queued row blocks (a single-row request is a 1-row
-    block) into one NumPy batch call; its limits count rows.
+    block) into one NumPy batch call; its limits count rows.  A caller
+    holding one block may lead its own batch on its own thread, and
+    blocks submitted meanwhile join it.
 :mod:`repro.serve.cache`
     :class:`PredictionCache` — LRU of per-row results keyed on
     method x model-version x row dtype/shape/bytes, looked up and

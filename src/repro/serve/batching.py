@@ -14,19 +14,25 @@ queued rows as one ``(32, d)`` batch costs barely more than scoring one
   of growing memory without bound;
 - a worker takes the head block, then **coalesces** further queued
   whole blocks *of the same method* while the batch stays within
-  ``max_batch_size`` rows, waiting at most ``batch_timeout`` seconds for
-  stragglers (a lone request on an idle server therefore pays at most
-  the timeout in added latency, and pays nothing when the timeout is 0);
+  ``max_batch_size`` rows, and waits at most ``batch_timeout`` seconds
+  for stragglers (a lone request on an idle server therefore pays at
+  most the timeout in added latency, and pays nothing when the timeout
+  is 0); a straggler of that method that fits joins the batch being
+  filled as it is submitted, waking nothing until the batch is full;
 - the coalesced rows are dispatched **once**, as one concatenated array,
-  through a caller-provided ``dispatch(method, rows)`` function, and the
-  per-row results are sliced back to each waiting block;
+  through a caller-provided ``dispatch(method, rows, blocks)`` function,
+  and the per-row results are sliced back to each waiting block;
 - a queued (not yet dispatched) block can be **cancelled**, which is
   how per-request deadlines degrade gracefully instead of erroring;
-- ``workers`` is also the number of **dispatch slots**: a caller holding
-  a block that could coalesce with nothing may score it on its own
-  thread through :meth:`MicroBatcher.try_dispatch` while a slot is
-  free, and workers and such callers together never run more than
-  ``workers`` dispatches at once.
+- a caller holding one block may **lead its own batch** on its own
+  thread through :meth:`MicroBatcher.try_dispatch`: while a dispatch
+  slot is free, nothing is queued and no batch is filling, it runs the
+  same fill wait a worker would, and blocks submitted meanwhile join
+  it.  No idle worker is woken while a batch fills, so workers
+  dispatch only what stays queued;
+- ``workers`` is also the number of **dispatch slots**: workers and
+  leading callers together never run more than ``workers`` dispatches
+  at once.
 
 The batcher knows nothing about models, caches or metrics — the
 :class:`~repro.serve.server.ModelServer` composes those around it.
@@ -44,9 +50,10 @@ import numpy as np
 
 __all__ = ["ServeRequest", "ServerClosed", "MicroBatcher"]
 
-# dispatch(method, rows) -> per-row results, aligned with the rows of
-# the (n, ...) array (anything supporting len() and slicing).
-DispatchFn = Callable[[str, np.ndarray], Sequence[Any]]
+# dispatch(method, rows, blocks) -> per-row results, aligned with the
+# rows of the (n, ...) array (anything supporting len() and slicing);
+# ``rows`` concatenates the rows of ``blocks``, the batch's requests.
+DispatchFn = Callable[[str, np.ndarray, Sequence["ServeRequest"]], Sequence[Any]]
 
 _QUEUED = "queued"
 _DISPATCHED = "dispatched"
@@ -82,10 +89,14 @@ class ServeRequest:
     trace — and anything else riding on context variables — follows the
     request across the thread boundary.  Untraced requests leave it
     ``None`` and pay nothing.
+
+    ``keyed`` is an opaque payload the submitter may attach (the server
+    puts the ``(version, keys)`` it looked the rows up under there); the
+    batcher hands it to the dispatch with the block, untouched.
     """
 
     __slots__ = ("rows", "method", "event", "result", "error", "state",
-                 "enqueued_at", "context")
+                 "enqueued_at", "context", "keyed")
 
     def __init__(
         self,
@@ -102,6 +113,7 @@ class ServeRequest:
         self.state = _QUEUED
         self.enqueued_at = enqueued_at
         self.context = context
+        self.keyed: Any = None
 
     def __len__(self) -> int:
         """Number of rows in the block."""
@@ -118,15 +130,17 @@ class MicroBatcher:
     Parameters
     ----------
     dispatch:
-        ``dispatch(method, rows)`` scoring an ``(n, ...)`` array in one
-        model call; exceptions it raises are delivered to every block
-        of the failed batch.
+        ``dispatch(method, rows, blocks)`` scoring an ``(n, ...)`` array
+        in one model call (``blocks`` are the requests whose rows it
+        concatenates); exceptions it raises are delivered to every
+        block of the failed batch.
     max_batch_size:
         Upper bound on rows per dispatch (1 disables coalescing), and
         so on the rows of one submitted block.
     batch_timeout:
-        Seconds a worker waits for the batch to fill once it holds at
-        least one block.  0 dispatches whatever is immediately queued.
+        Seconds a worker or leading caller waits for the batch to fill
+        once it holds at least one block.  0 dispatches whatever is
+        immediately queued.
     max_queue:
         Bound on queued (not yet dispatched) rows — the backpressure
         limit.
@@ -165,7 +179,15 @@ class MicroBatcher:
         # lock acquisitions the workers make anyway.
         self._slots = int(workers)
         self._busy = 0
-        self._cond = threading.Condition()
+        # One lock, two wait queues: idle workers (and close()) wait on
+        # ``_cond``; the one thread filling a batch waits on ``_filler``,
+        # so a submission can end a fill without waking an idle worker.
+        lock = threading.RLock()
+        self._cond = threading.Condition(lock)
+        self._filler = threading.Condition(lock)
+        # The batch being filled (None when none is) and its rows.
+        self._filling: Optional[List[ServeRequest]] = None
+        self._fill_rows = 0
         self._stopping = False
         self._threads = [
             threading.Thread(
@@ -196,6 +218,12 @@ class MicroBatcher:
         from trading the lock (and, in CPython, the GIL) with the
         workers once per block.
 
+        While a batch is filling, a block of its method that fits joins
+        it on the spot instead of queueing, and nothing is woken until
+        the batch is full or a block queues that cannot join; only then
+        does its filling thread dispatch early.  Idle workers are woken
+        only when no batch is filling.
+
         Raises :class:`ValueError` for a block of more than
         ``max_batch_size`` rows: no dispatch could carry it.
         """
@@ -208,60 +236,92 @@ class MicroBatcher:
         with self._cond:
             if self._stopping:
                 raise ServerClosed()
+            batch = self._filling
             accepted = 0
             for request in requests:
-                if self._queued_rows + len(request) > self.max_queue:
+                if (
+                    batch is not None
+                    and not self._queue
+                    and request.method == batch[0].method
+                    and self._fill_rows + len(request) <= self.max_batch_size
+                ):
+                    request.state = _DISPATCHED
+                    batch.append(request)
+                    self._fill_rows += len(request)
+                elif self._queued_rows + len(request) <= self.max_queue:
+                    self._queue.append(request)
+                    self._queued_rows += len(request)
+                else:
                     break
-                self._queue.append(request)
-                self._queued_rows += len(request)
                 accepted += 1
-            # One wake-up per accepted block, as many as there are idle
-            # workers to take them.
-            self._cond.notify(accepted)
+            if batch is None:
+                # One wake-up per accepted block, as many as there are
+                # idle workers to take them.
+                self._cond.notify(accepted)
+            elif self._queue or self._fill_rows >= self.max_batch_size:
+                # The filling batch is full, or a block it cannot take
+                # queued: it dispatches now.
+                self._filler.notify()
             return accepted
 
-    def try_dispatch(self, request: ServeRequest, dispatch: DispatchFn) -> bool:
-        """Score ``request`` on the calling thread if a slot is free.
+    def try_dispatch(
+        self, request: ServeRequest, deadline: Optional[float] = None
+    ) -> bool:
+        """Lead a batch headed by ``request`` on the calling thread.
 
-        For a block no queued batch could add rows to: it skips the
-        queue hand-off and pays no ``batch_timeout``.  ``dispatch`` is
-        the caller's own ``(method, rows)`` function.  Returns ``False``
-        without running anything when every slot is busy, so the caller
-        queues the block instead; otherwise the result, or the error
-        (an ``Exception``) of the dispatch is delivered to ``request``
-        as a worker would deliver it.
+        Allowed while a dispatch slot is free, nothing is queued (queued
+        blocks go first) and no batch is filling; returns ``False``
+        without running anything otherwise, so the caller queues the
+        block instead.  A leader holds the slot and runs a worker's fill
+        wait (:meth:`_fill_locked`) on its own thread: blocks of its
+        method submitted meanwhile join it, until the batch is full, a
+        block queues that cannot join, :meth:`close` begins,
+        ``batch_timeout`` passes or, sooner, ``deadline`` seconds do.
+        It then dispatches and delivers the results, or the error, to
+        every block of the batch as a worker would.  A full block skips
+        the hand-off and the wait alike.
 
         Raises :class:`ServerClosed` once :meth:`close` has begun.
         """
+        timeout = self.batch_timeout
+        if deadline is not None:
+            timeout = min(timeout, max(deadline, 0.0))
         with self._cond:
             if self._stopping:
                 raise ServerClosed()
-            if self._busy >= self._slots:
+            if (
+                self._queue
+                or self._filling is not None
+                or self._busy >= self._slots
+            ):
                 return False
             self._busy += 1
             request.state = _DISPATCHED
+            batch = [request]
+            try:
+                self._fill_locked(batch, timeout)
+            except BaseException as exc:  # interrupted in the fill wait
+                self._release_locked()
+                self._deliver(batch, error=exc)
+                raise
         try:
-            results = dispatch(request.method, request.rows)
-            if len(results) != len(request):
-                raise RuntimeError(
-                    f"dispatch returned {len(results)} results for a "
-                    f"block of {len(request)} rows"
-                )
-            request.result = results
-        except Exception as exc:  # delivered like a failed batch
-            request.error = exc
+            self._deliver(batch)
         finally:
             with self._cond:
-                self._busy -= 1
-                # Wake a worker only for work it could not start while
-                # this slot was taken, or for close() waiting on it.
-                if self._stopping:
-                    self._cond.notify_all()
-                elif self._queue:
-                    self._cond.notify()
-        request.state = _DONE
-        request.event.set()
+                self._release_locked()
+        if request.error is not None and not isinstance(request.error, Exception):
+            raise request.error  # an interrupt, not a failed dispatch
         return True
+
+    def _release_locked(self) -> None:
+        """Give back a caller's dispatch slot."""
+        self._busy -= 1
+        # Wake a worker only for work it could not start while this
+        # slot was taken, or for close() waiting on it.
+        if self._stopping:
+            self._cond.notify_all()
+        elif self._queue:
+            self._cond.notify()
 
     def cancel(self, request: ServeRequest) -> bool:
         """Remove a still-queued block; ``False`` once dispatch began."""
@@ -306,44 +366,64 @@ class MicroBatcher:
             taken.append(head)
         return taken
 
-    def _collect_batch(self, finished: bool) -> List[ServeRequest]:
-        """Block until a batch and a slot are ready (or empty list at
-        shutdown); ``finished`` gives back the slot of the last batch."""
-        with self._cond:
-            if finished:
-                self._busy -= 1
-            while not self._queue or self._busy >= self._slots:
-                if self._stopping and not self._queue:
-                    return []
-                self._cond.wait()
-            self._busy += 1
-            method = self._queue[0].method
-            batch = self._take_matching_locked(method, self.max_batch_size)
-            if self.batch_timeout > 0.0:
-                rows = sum(len(request) for request in batch)
-                deadline = time.monotonic() + self.batch_timeout
-                # Wait for stragglers only while nothing is queued: a
-                # queued head that could not join (another method, or a
-                # block too big for the room left) holds back everything
-                # behind it.
+    def _fill_locked(self, batch: List[ServeRequest], timeout: float) -> None:
+        """Let submitted blocks join ``batch`` for up to ``timeout`` seconds.
+
+        The fill wait of workers and leading callers alike, run holding
+        the lock and a dispatch slot.  While it waits, blocks submitted
+        join ``batch`` directly (:meth:`submit_many`).  It stops early
+        once the batch is full, once a block queues that cannot join
+        (another method, or too big for the room left: it holds back
+        everything behind it) or at close(), and never starts while such
+        a block is queued.
+        """
+        if timeout > 0.0 and not self._queue:
+            deadline = time.monotonic() + timeout
+            self._filling = batch
+            self._fill_rows = sum(len(request) for request in batch)
+            try:
                 while (
-                    rows < self.max_batch_size
+                    self._fill_rows < self.max_batch_size
                     and not self._queue
                     and not self._stopping
                 ):
                     remaining = deadline - time.monotonic()
                     if remaining <= 0.0:
                         break
-                    self._cond.wait(remaining)
-                    more = self._take_matching_locked(
-                        method, self.max_batch_size - rows
-                    )
-                    rows += sum(len(request) for request in more)
-                    batch.extend(more)
-            if self._queue:
-                # Leftover work (other method / beyond max batch): wake
-                # a sibling worker to start on it while we dispatch.
-                self._cond.notify_all()
+                    self._filler.wait(remaining)
+            finally:
+                self._filling = None
+        if self._stopping:
+            self._cond.notify_all()
+        elif self._queue:
+            # Leftover work (another method, or beyond the room left):
+            # wake an idle worker to start on it while this batch
+            # dispatches.
+            self._cond.notify()
+
+    def _collect_batch(self, finished: bool) -> List[ServeRequest]:
+        """Block until a worker may take a batch (or empty list at
+        shutdown); ``finished`` gives back the slot of the last batch.
+
+        A worker takes work only while no batch is filling: a block
+        queued during a fill could not join it and ends it, and the
+        filling thread wakes a worker for it once it stops.
+        """
+        with self._cond:
+            if finished:
+                self._busy -= 1
+            while (
+                not self._queue
+                or self._busy >= self._slots
+                or self._filling is not None
+            ):
+                if self._stopping and not self._queue:
+                    return []
+                self._cond.wait()
+            self._busy += 1
+            method = self._queue[0].method
+            batch = self._take_matching_locked(method, self.max_batch_size)
+            self._fill_locked(batch, self.batch_timeout)
         return batch
 
     def _run(self) -> None:
@@ -352,11 +432,22 @@ class MicroBatcher:
             batch = self._collect_batch(finished=bool(batch))
             if not batch:
                 return
+            self._deliver(batch)
+
+    def _deliver(
+        self, batch: List[ServeRequest], error: Optional[BaseException] = None
+    ) -> None:
+        """Dispatch ``batch`` as one call and answer every block.
+
+        Each block gets its slice of the results, or the dispatch's
+        error; ``error`` fails the batch without a dispatch.
+        """
+        if error is None:
             try:
                 # Restore the head block's submit-time context (when
-                # captured) so its trace parents the dispatch work done
-                # on this worker thread.  One batch = one model call =
-                # one context; the coalesced followers' results are
+                # captured) so its trace parents the dispatch work, on
+                # whichever thread runs it.  One batch = one model call
+                # = one context; the coalesced followers' results are
                 # sliced back regardless of whose context ran the call.
                 head = batch[0]
                 rows = (
@@ -365,10 +456,10 @@ class MicroBatcher:
                 )
                 if head.context is not None:
                     results = head.context.run(
-                        self._dispatch, head.method, rows
+                        self._dispatch, head.method, rows, batch
                     )
                 else:
-                    results = self._dispatch(head.method, rows)
+                    results = self._dispatch(head.method, rows, batch)
                 if len(results) != len(rows):
                     raise RuntimeError(
                         f"dispatch returned {len(results)} results for a "
@@ -379,11 +470,13 @@ class MicroBatcher:
                     request.result = results[offset:offset + len(request)]
                     offset += len(request)
             except BaseException as exc:  # delivered to every caller
-                for request in batch:
-                    request.error = exc
+                error = exc
+        if error is not None:
             for request in batch:
-                request.state = _DONE
-                request.event.set()
+                request.error = error
+        for request in batch:
+            request.state = _DONE
+            request.event.set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -402,6 +495,7 @@ class MicroBatcher:
             if not drain:
                 self._fail_queued_locked()
             self._cond.notify_all()
+            self._filler.notify_all()  # a filling batch dispatches now
         for thread in self._threads:
             thread.join()
         # Workers exit as soon as they see the stop flag with an empty
@@ -411,7 +505,7 @@ class MicroBatcher:
         # worker drain (e.g. zero live workers), fail it rather than
         # leave its waiter blocked forever.
         with self._cond:
-            while self._busy:  # a caller's try_dispatch still running
+            while self._busy:  # a leading caller still dispatching
                 self._cond.wait()
             self._fail_queued_locked()
 

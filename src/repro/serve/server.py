@@ -10,14 +10,16 @@ one row through :meth:`~ModelServer.request`, or a block of rows through
 2. keys every row in one pass and consults the LRU
    :class:`~repro.serve.cache.PredictionCache` under one lock (keyed on
    method x version x row bytes);
-3. routes the misses to a :class:`~repro.serve.batching.MicroBatcher`,
-   enqueues them as blocks of at most ``max_batch_size`` rows and
-   blocks until the coalesced dispatches slice their results back —
-   except a **lone full block**: when a call's misses form one block of
-   exactly ``max_batch_size`` rows, no queued work could join it, so
-   the caller scores it on its own thread while one of the batcher's
-   dispatch slots is free, and files the results under the keys it
-   already computed;
+3. routes the misses to a :class:`~repro.serve.batching.MicroBatcher`
+   as blocks of at most ``max_batch_size`` rows, each carrying the
+   ``(version, keys)`` it was looked up under so its dispatch files the
+   results without hashing the rows again.  A **lone block** — a call
+   whose misses are one block for one batcher: a single row, a partial
+   or a full block — leads its own batch on the caller's thread while
+   a dispatch slot is free and no batch is filling, and blocks that
+   arrive during its fill wait join it; otherwise the blocks queue and
+   the caller waits until the coalesced dispatches slice their results
+   back;
 4. degrades gracefully instead of failing: a **full queue** sheds a
    block to inline single-row model calls (``serve/shed_total``), and
    an expired **deadline** cancels the queued block and answers it the
@@ -67,11 +69,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import threading
 from types import TracebackType
 from typing import (
-    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Type,
+    Any, Collection, Dict, List, Optional, Sequence, Tuple, Type,
 )
 
 import numpy as np
@@ -79,7 +80,7 @@ import numpy as np
 from ..telemetry import trace as tracing
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.trace import Tracer, add_event
-from .batching import MicroBatcher, ServeRequest, ServerClosed
+from .batching import DispatchFn, MicroBatcher, ServeRequest, ServerClosed
 from .cache import PredictionCache
 from .registry import ActiveModel, ModelRegistry
 from .resilience import BreakerOpen, FaultInjector, ResiliencePolicy
@@ -88,8 +89,6 @@ __all__ = ["ModelServer"]
 
 # (shard, row indices, queued block) — one block of a call's misses.
 _Block = Tuple[int, List[int], ServeRequest]
-# (version, keys) a caller looked a block's rows up under.
-_Keyed = Tuple[str, List[bytes]]
 
 
 class ModelServer:
@@ -194,13 +193,9 @@ class ModelServer:
         if registry is not None and not name:
             raise ValueError("serving from a registry requires name=")
 
-    def _dispatchers(self) -> List[Callable[..., List[Any]]]:
-        """One dispatch per batcher; in-process, the model call.
-
-        Each is a :data:`~repro.serve.batching.DispatchFn` that also
-        takes ``keyed=``: the version and keys a caller looked a lone
-        full block up under, so that dispatch need not hash it again.
-        """
+    def _dispatchers(self) -> List[DispatchFn]:
+        """One :data:`~repro.serve.batching.DispatchFn` per batcher;
+        in-process, the model call."""
         return [self._dispatch]
 
     @property
@@ -293,10 +288,18 @@ class ModelServer:
         inside its ≤5% QPS budget (``benchmarks/bench_trace_overhead``).
         The untraced hot path costs one context-variable read.
         """
+        return contextvars.copy_context() if self._sampled() else None
+
+    @staticmethod
+    def _sampled() -> bool:
+        """Whether this thread runs inside a sampled span.
+
+        Only then does a dispatch open its own span: an unsampled
+        span's children record nothing, so a batch a caller leads under
+        one is dispatched untraced, as a worker dispatches it.
+        """
         active = tracing.current_span()
-        if active is not None and active.sampled:
-            return contextvars.copy_context()
-        return None
+        return active is not None and active.sampled
 
     def _normalize_row(self, row: np.ndarray) -> np.ndarray:
         """One sample as a one-row block (a length-1 batch axis squeezed)."""
@@ -439,15 +442,17 @@ class ModelServer:
         """Answer an ``(n, ...)`` block of rows; the request lifecycle.
 
         Keys and looks up every row in one pass, buckets the misses per
-        batcher (:meth:`_route`), queues each bucket as blocks of at
-        most ``max_batch_size`` rows — or, when the misses are one full
-        block, dispatches it on this thread if its batcher has a free
-        slot (:meth:`MicroBatcher.try_dispatch`) — and degrades instead
-        of failing: blocks a full queue rejects, or whose ``deadline``
-        expires while queued, are answered row by row inline, and blocks
-        whose batch failed go to :meth:`_rescue`.  Counters move once
-        per call, in rows; every row gets one latency sample, from
-        ``start`` to when its answer was in hand.
+        batcher (:meth:`_route`) and cuts each bucket into blocks of at
+        most ``max_batch_size`` rows, each carrying its lookup
+        ``(version, keys)``.  A lone block — the misses are one block
+        for one batcher — leads its own batch on this thread when it may
+        (:meth:`MicroBatcher.try_dispatch`, bounded by ``deadline``);
+        other blocks queue.  It degrades instead of failing: blocks a
+        full queue rejects, or whose ``deadline`` expires while queued,
+        are answered row by row inline, and blocks whose batch failed go
+        to :meth:`_rescue`.  Counters move once per call, in rows; every
+        row gets one latency sample, from ``start`` to when its answer
+        was in hand.
         """
         version, model = self._resolve()
         span.set_attribute("version", version)
@@ -491,27 +496,29 @@ class ModelServer:
                 blocks: List[_Block] = []
                 for lo in range(0, len(members), size):
                     index = members[lo:lo + size]
-                    block = (
-                        rows[lo:lo + size] if len(members) == n
-                        else rows[index]
-                    )
                     # Per-block context copies: a shared Context object
-                    # cannot be entered by two dispatching workers at once.
-                    blocks.append((shard, index, ServeRequest(
-                        method, block, enqueued_at=start,
+                    # cannot be entered by two dispatching threads at once.
+                    request = ServeRequest(
+                        method,
+                        rows[lo:lo + size] if len(members) == n
+                        else rows[index],
+                        enqueued_at=start,
                         context=self._capture_context(),
-                    )))
-                if len(members) == size and len(buckets) == 1:
-                    # A lone full block: no queued work could join it,
-                    # so it is scored here if a dispatch slot is free.
-                    dispatch = functools.partial(
-                        self._dispatches[shard],
-                        keyed=None if keys is None
-                        else (version, [keys[i] for i in members]),
                     )
-                    if batcher.try_dispatch(blocks[0][2], dispatch):
-                        waiting += blocks
-                        continue
+                    if keys is not None:
+                        request.keyed = (
+                            version,
+                            keys[lo:lo + size] if len(members) == n
+                            else [keys[i] for i in index],
+                        )
+                    blocks.append((shard, index, request))
+                if (
+                    len(blocks) == 1
+                    and len(buckets) == 1
+                    and batcher.try_dispatch(request, deadline)
+                ):
+                    waiting += blocks
+                    continue
                 accepted = batcher.submit_many(
                     [request for _shard, _index, request in blocks]
                 )
@@ -528,9 +535,6 @@ class ModelServer:
                     shed += rejected
             self._gauge_depth()
 
-        def block_keys(index: List[int]) -> Optional[List[bytes]]:
-            return None if keys is None else [keys[i] for i in index]
-
         def answer(index: List[int], values: Sequence[Any]) -> None:
             for i, value in zip(index, values):
                 results[i] = value
@@ -538,9 +542,7 @@ class ModelServer:
 
         try:
             for _shard, index, request in shed:
-                answer(index, self._predict_inline(
-                    method, request.rows, model, block_keys(index)
-                ))
+                answer(index, self._predict_inline(request, model))
             for shard, index, request in waiting:
                 if (
                     not request.event.wait(timeout=deadline)
@@ -554,9 +556,7 @@ class ModelServer:
                     self.metrics.counter(
                         "serve/deadline_expired_total"
                     ).inc(len(index))
-                    answer(index, self._predict_inline(
-                        method, request.rows, model, block_keys(index)
-                    ))
+                    answer(index, self._predict_inline(request, model))
                     continue
                 # Done, or already being dispatched: moments away.
                 request.event.wait()
@@ -564,9 +564,7 @@ class ModelServer:
                     answer(index, request.result)
                     continue
                 try:
-                    values = self._rescue(
-                        request.error, request, model, block_keys(index)
-                    )
+                    values = self._rescue(request.error, request, model)
                 except BaseException:
                     answer(index, ())
                     raise
@@ -578,24 +576,23 @@ class ModelServer:
         return results
 
     def _dispatch(
-        self, method: str, rows: np.ndarray, keyed: Optional[_Keyed] = None
+        self, method: str, rows: np.ndarray, blocks: Sequence[ServeRequest]
     ) -> List[Any]:
         """Score a coalesced batch with a single model call.
 
-        Runs on a batcher worker thread, or on the caller's for a lone
-        full block (``keyed`` then carries the caller's keys); when the
-        head block captured its submit-time context the worker restored
-        it around this call, so the dispatch span parents to that
-        request's span.  Without a current span (untraced or unsampled
-        submitter on a worker) the dispatch is not traced — a parentless
-        dispatch root would be an orphan trace no summary could attach
-        to a request.
+        Runs on a batcher worker thread, or on the caller's for a batch
+        it leads; when the head block captured its submit-time context
+        the batcher restored it around this call, so the dispatch span
+        parents to that request's span.  Without a sampled current span
+        (an untraced or unsampled head request) the dispatch is not
+        traced — a parentless dispatch root would be an orphan trace no
+        summary could attach to a request.
 
         The results are cached under the version resolved *here*, not
         the callers': a hot-swap between lookup and dispatch must never
         file one version's answers under another's keys.
         """
-        traced = tracing.current_span() is not None
+        traced = self._sampled()
         with (
             self._start_span(
                 "serve/dispatch", method=method, batch_size=len(rows)
@@ -606,29 +603,33 @@ class ModelServer:
             version, model = self._resolve()
             with self.metrics.timer("serve/dispatch_seconds"):
                 out = self._score(model, method, rows)
-        return self._batch_done(method, version, rows, list(out), keyed)
+        return self._batch_done(method, version, list(out), blocks)
 
     def _batch_done(
         self,
         method: str,
         version: str,
-        rows: np.ndarray,
         values: List[Any],
-        keyed: Optional[_Keyed] = None,
+        blocks: Sequence[ServeRequest],
     ) -> List[Any]:
         """Count one dispatched batch and cache its rows under ``version``.
 
-        The rows are keyed again unless ``keyed`` holds their keys under
-        this same ``version``.
+        Each block is filed under the keys it was looked up under
+        (:attr:`ServeRequest.keyed`) when that lookup used ``version``;
+        only a block looked up under another version is keyed again.
         """
         self.metrics.counter("serve/batches_total").inc()
-        self.metrics.histogram("serve/batch_size").observe(len(rows))
+        self.metrics.histogram("serve/batch_size").observe(len(values))
         self._gauge_depth()
         if self.cache.maxsize:
-            if keyed is not None and keyed[0] == version:
-                keys = keyed[1]
-            else:
-                keys = PredictionCache.make_keys(method, version, rows)
+            keys: List[bytes] = []
+            for block in blocks:
+                if block.keyed is not None and block.keyed[0] == version:
+                    keys += block.keyed[1]
+                else:
+                    keys += PredictionCache.make_keys(
+                        method, version, block.rows
+                    )
             self._cache_put_many(keys, values)
         return values
 
@@ -655,29 +656,25 @@ class ModelServer:
         except Exception:
             self.metrics.counter("resilience/cache_errors_total").inc()
 
-    def _predict_inline(
-        self,
-        method: str,
-        rows: np.ndarray,
-        model: Any,
-        keys: Optional[List[bytes]],
-    ) -> List[Any]:
+    def _predict_inline(self, request: ServeRequest, model: Any) -> List[Any]:
         """Row-by-row sync path for shed, expired and rescued blocks.
 
         Scores on the caller's thread with the model the caller
         resolved — on the sharded tier, the parent's own snapshot, which
         is why no request is dropped even with the whole fleet dead
-        mid-respawn.
+        mid-respawn — and caches under the block's lookup keys, which
+        are that model's.
         """
+        method = request.method
         with self._start_span(
-            "serve/inline_predict", method=method, rows=len(rows)
+            "serve/inline_predict", method=method, rows=len(request)
         ):
             values = [
                 self._score(model, method, row[np.newaxis, ...])[0]
-                for row in rows
+                for row in request.rows
             ]
-        if keys is not None:
-            self._cache_put_many(keys, values)
+        if request.keyed is not None:
+            self._cache_put_many(request.keyed[1], values)
         return values
 
     def _rescuable(self, error: BaseException) -> bool:
@@ -694,11 +691,7 @@ class ModelServer:
         )
 
     def _rescue(
-        self,
-        error: BaseException,
-        request: ServeRequest,
-        model: Any,
-        keys: Optional[List[bytes]],
+        self, error: BaseException, request: ServeRequest, model: Any
     ) -> List[Any]:
         """Answer a block whose batch failed with ``error``, or re-raise it.
 
@@ -711,7 +704,7 @@ class ModelServer:
             raise error
         add_event("row_rescue", error=type(error).__name__, rows=len(request))
         self.metrics.counter("serve/rescued_total").inc(len(request))
-        return self._predict_inline(request.method, request.rows, model, keys)
+        return self._predict_inline(request, model)
 
     def _gauge_depth(self) -> None:
         depth = 0

@@ -14,8 +14,9 @@ threads.  It keeps only the fleet:
 - **batching** — each shard has its own parent-side
   :class:`~repro.serve.batching.MicroBatcher` (one dispatcher thread,
   so one dispatch slot per shard channel), so coalescing semantics,
-  cancellation, drain and the lone-full-block caller dispatch are
-  exactly the machinery the single-process path already proved out;
+  cancellation, drain and a lone block leading its own batch on the
+  caller's thread are exactly the machinery the single-process path
+  already proved out;
 - **dispatch** — a coalesced batch travels to its worker through a
   shared-memory slab (no per-request pickling) and the results fan
   back from the response slab, with worker-side timing recorded as a
@@ -43,13 +44,13 @@ import contextlib
 import functools
 import threading
 from collections import defaultdict
-from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
+from typing import Any, Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...telemetry import trace as tracing
 from ...telemetry.metrics import MetricsRegistry
 from ...telemetry.trace import Tracer, add_event
+from ..batching import DispatchFn, ServeRequest
 from ..registry import ModelRegistry
 from ..resilience import BreakerOpen, CircuitBreaker, ResiliencePolicy
 from ..server import ModelServer
@@ -192,7 +193,7 @@ class ShardedModelServer(ModelServer):
             widths[method] = max(1, int(out.reshape(1, -1).shape[1]))
         return widths
 
-    def _dispatchers(self) -> List[Callable[..., List[Any]]]:
+    def _dispatchers(self) -> List[DispatchFn]:
         """One batcher per shard, each dispatching to its own worker."""
         return [
             functools.partial(self._shard_dispatch, shard_id)
@@ -297,20 +298,19 @@ class ShardedModelServer(ModelServer):
         shard_id: int,
         method: str,
         rows: np.ndarray,
-        keyed: Optional[Tuple[str, List[bytes]]] = None,
+        blocks: Sequence[ServeRequest],
     ) -> List[Any]:
         """Score one coalesced batch on shard ``shard_id``'s worker.
 
         Runs on that shard's dispatcher thread, or on the caller's for a
-        lone full block (``keyed`` then carries the caller's keys, as
-        for :meth:`ModelServer._dispatch`).  A dead worker raises
+        batch it leads.  A dead worker raises
         :class:`~repro.serve.sharding.shm.ShardDead` through the
         breaker (tripping it), triggers an eager respawn, and the
         batcher delivers the error to every waiting block — which
         ``_rescue`` answers row by row inline.  The results are cached
         under the version the worker scored with.
         """
-        traced = tracing.current_span() is not None
+        traced = self._sampled()
         with (
             self._start_span(
                 "serve/shard_dispatch", method=method,
@@ -349,7 +349,7 @@ class ShardedModelServer(ModelServer):
             f"serve/shard/{shard_id}/requests_total"
         ).inc(float(len(rows)))
         values = [result.row_value(i) for i in range(len(rows))]
-        return self._batch_done(method, result.version, batch, values, keyed)
+        return self._batch_done(method, result.version, values, blocks)
 
     def _gauge_depth(self) -> None:
         depth = 0

@@ -512,7 +512,7 @@ def test_close_drain_completes_queued_requests():
     released = threading.Event()
     dispatched = []
 
-    def dispatch(method, rows):
+    def dispatch(method, rows, blocks):
         released.wait(timeout=5.0)
         dispatched.append(len(rows))
         return [0] * len(rows)
@@ -537,7 +537,7 @@ def test_close_drain_completes_queued_requests():
 def test_close_without_drain_fails_queued_with_server_closed():
     released = threading.Event()
 
-    def dispatch(method, rows):
+    def dispatch(method, rows, blocks):
         released.wait(timeout=5.0)
         return [0] * len(rows)
 

@@ -231,7 +231,7 @@ def test_saturation_sheds_without_errors(model, x):
 def test_queue_bound_is_respected():
     calls = []
 
-    def dispatch(method, rows):
+    def dispatch(method, rows, blocks):
         calls.append(len(rows))
         return [0] * len(rows)
 
@@ -255,7 +255,7 @@ def test_batcher_counts_rows_and_coalesces_whole_blocks():
     entered, release = threading.Event(), threading.Event()
     sizes = []
 
-    def dispatch(method, rows):
+    def dispatch(method, rows, blocks):
         entered.set()
         release.wait(timeout=5.0)
         sizes.append(len(rows))
@@ -290,7 +290,7 @@ def test_batcher_counts_rows_and_coalesces_whole_blocks():
 def test_batcher_dispatches_at_once_when_the_next_block_cannot_join():
     from repro.serve.batching import ServeRequest
 
-    def dispatch(method, rows):
+    def dispatch(method, rows, blocks):
         return rows[:, 0]
 
     batcher = MicroBatcher(
@@ -313,7 +313,7 @@ def test_batcher_row_count_exact_under_concurrent_producers():
     lock = threading.Lock()
     dispatched, answered, depths, errors = [], [], [], []
 
-    def dispatch(method, rows):
+    def dispatch(method, rows, blocks):
         with lock:
             dispatched.append(len(rows))
         return rows[:, 0]
@@ -381,7 +381,9 @@ def _accounted(stats):
         counters.get("serve/cache_hits_total", 0.0)
         + stats["shed"]
         + stats["deadline_expired"]
-        + stats["metrics"]["histograms"]["serve/batch_size"].get("sum", 0.0)
+        + stats["metrics"]["histograms"].get("serve/batch_size", {}).get(
+            "sum", 0.0
+        )
         + stats["rescued"]
     )
 
@@ -528,7 +530,7 @@ def test_registry_server_requires_name(model):
 
 
 # ----------------------------------------------------------------------
-# A lone full block is scored on the calling thread
+# A lone block leads its own batch on the calling thread
 # ----------------------------------------------------------------------
 class ThreadRecorder:
     """Wraps a model and records which thread made each call."""
@@ -571,7 +573,7 @@ def test_lone_full_block_is_scored_on_the_calling_thread_keyed_once(
 
 @pytest.mark.parametrize("rows", [31, 64, 1], ids=["partial", "two_blocks",
                                                    "single_rows"])
-def test_partial_multi_block_and_single_row_calls_use_the_workers(
+def test_one_block_calls_lead_and_multi_block_calls_use_the_workers(
     model, x, rows
 ):
     recorder = ThreadRecorder(model)
@@ -583,11 +585,179 @@ def test_partial_multi_block_and_single_row_calls_use_the_workers(
             got = server.predict_many(x[:rows])
             expected = model.predict(x[:rows])
     assert np.array_equal(np.array(got), expected)
-    assert recorder.calls
-    assert all(
-        thread.name.startswith("serve-worker-")
-        for thread, _size in recorder.calls
+    threads = {thread for thread, _size in recorder.calls}
+    if rows == 64:
+        # Two blocks queue, so that the workers can score them apart.
+        assert all(thread.name.startswith("serve-worker-") for thread in threads)
+    else:
+        # One block leads its own batch on the calling thread.
+        assert threads == {threading.current_thread()}
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Rows per :meth:`PredictionCache.make_keys` call, in call order."""
+    rows = []
+    make_keys = PredictionCache.make_keys
+
+    def counting_make_keys(method, version, block):
+        rows.append(len(block))
+        return make_keys(method, version, block)
+
+    monkeypatch.setattr(
+        PredictionCache, "make_keys", staticmethod(counting_make_keys)
     )
+    return rows
+
+
+class HoldsTheSlot(ThreadRecorder):
+    """Holds every full 32-row call until ``release`` is set."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def predict(self, batch):
+        if len(batch) == 32:
+            self.entered.set()
+            self.release.wait(timeout=10.0)
+        return super().predict(batch)
+
+
+def _while_the_slot_is_held(server, holder, rows, call):
+    """Run ``call`` on a thread while ``holder`` scores ``rows``, a full
+    block that holds the server's one dispatch slot.
+
+    Returns the call's result once its blocks were seen queued and the
+    slot was given back.
+    """
+    held = threading.Thread(target=server.predict_many, args=(rows,))
+    held.start()
+    assert holder.entered.wait(timeout=5.0)
+    answers = []
+    caller = threading.Thread(target=lambda: answers.append(call()))
+    caller.start()
+    deadline = time.monotonic() + 5.0
+    while server.health()["queue_depth"] == 0:
+        assert time.monotonic() < deadline, "the call never queued"
+        time.sleep(0.001)
+    holder.release.set()
+    held.join(timeout=5.0)
+    caller.join(timeout=5.0)
+    assert not held.is_alive() and not caller.is_alive()
+    return answers[0]
+
+
+@pytest.mark.parametrize("rows", [31, 1], ids=["partial", "single_rows"])
+def test_one_block_calls_queue_for_the_workers_while_every_slot_is_busy(
+    model, x, rows
+):
+    recorder = HoldsTheSlot(model)
+    server = ModelServer(
+        model=recorder, max_batch_size=32, workers=1, cache_size=0
+    )
+    with server:
+        if rows == 1:
+            got = [_while_the_slot_is_held(
+                server, recorder, x[32:64], lambda: server.predict(x[0])
+            )]
+        else:
+            got = _while_the_slot_is_held(
+                server, recorder, x[32:64],
+                lambda: server.predict_many(x[:rows]),
+            )
+    assert np.array_equal(np.array(got), model.predict(x[:rows]))
+    queued = [thread for thread, size in recorder.calls if size == rows]
+    assert len(queued) == 1 and queued[0].name.startswith("serve-worker-")
+    assert _accounted(server.stats()) == 32 + rows
+
+
+def test_block_submitted_during_a_fill_joins_that_batch(model, x, hashed):
+    recorder = ThreadRecorder(model)
+    server = ModelServer(model=recorder, max_batch_size=2, batch_timeout=2.0)
+    with server:
+        answers = []
+        first = threading.Thread(
+            target=lambda: answers.append(server.predict(x[0]))
+        )
+        first.start()
+        time.sleep(0.1)  # its batch is filling: it has room for one row
+        start = time.monotonic()
+        second = server.predict(x[1])
+        elapsed = time.monotonic() - start
+        first.join(timeout=5.0)
+        stats = server.stats()
+        filed = len(server.cache)
+    assert answers == [model.predict(x[:1])[0]]
+    assert second == model.predict(x[1:2])[0]
+    # The idle worker did not open a second batch: one dispatch of both
+    # rows, sent as soon as the second row filled it.
+    assert [size for _thread, size in recorder.calls] == [2]
+    assert stats["batches"] == 1 and elapsed < 1.0
+    # Each row was keyed by its own lookup and filed under those keys.
+    assert hashed == [1, 1] and filed == 2
+
+
+def test_leader_dispatches_by_its_deadline(model, x):
+    recorder = ThreadRecorder(model)
+    server = ModelServer(model=recorder, batch_timeout=5.0, cache_size=0)
+    with server:
+        start = time.monotonic()
+        got = server.predict(x[0], deadline=0.05)
+        elapsed = time.monotonic() - start
+        stats = server.stats()
+    assert got == model.predict(x[:1])[0]
+    assert elapsed < 1.0
+    # Scored in a batch it led, not by the deadline's inline fallback.
+    assert recorder.calls == [(threading.current_thread(), 1)]
+    assert stats["batches"] == 1 and stats["deadline_expired"] == 0
+
+
+def test_close_during_a_leaders_fill_dispatches_what_it_holds(model, x):
+    events = []
+
+    class Recording:
+        def predict(self, batch):
+            time.sleep(0.05)
+            events.append(("scored", threading.current_thread()))
+            return model.predict(batch)
+
+    server = ModelServer(model=Recording(), batch_timeout=10.0, cache_size=0)
+    answers = []
+    caller = threading.Thread(
+        target=lambda: answers.append(server.predict(x[0]))
+    )
+    caller.start()
+    time.sleep(0.1)  # the caller leads its batch and waits for stragglers
+    start = time.monotonic()
+    server.close()
+    events.append(("closed", threading.current_thread()))
+    caller.join(timeout=5.0)
+    assert not caller.is_alive()
+    assert time.monotonic() - start < 5.0
+    assert answers == [model.predict(x[:1])[0]]
+    assert events == [("scored", caller), ("closed", threading.current_thread())]
+
+
+def test_queued_single_row_is_hashed_once(model, x, hashed):
+    recorder = HoldsTheSlot(model)
+    with ModelServer(model=recorder, max_batch_size=32, workers=1) as server:
+        got = _while_the_slot_is_held(
+            server, recorder, x[32:64], lambda: server.predict(x[0])
+        )
+        filed = len(server.cache)
+    assert got == model.predict(x[:1])[0]
+    # The holder's rows and the queued row, each keyed once by its
+    # lookup; the dispatches filed them under those keys.
+    assert sorted(hashed) == [1, 32] and filed == 33
+
+
+def test_multi_block_call_hashes_each_row_once(model, x, hashed):
+    with ModelServer(model=model, max_batch_size=32) as server:
+        got = server.predict_many(x[:64])
+        filed = len(server.cache)
+    assert np.array_equal(np.array(got), model.predict(x[:64]))
+    assert hashed == [64] and filed == 64
 
 
 class ConcurrencyProbe:
@@ -667,6 +837,62 @@ def test_callers_and_workers_never_exceed_the_dispatch_slots(model, x):
     assert any(not name.startswith("serve-worker-") for name in probe.threads)
 
 
+def test_fills_and_joins_keep_every_invariant_under_concurrent_callers(
+    model, x
+):
+    probe = ConcurrencyProbe(model, delay=0.001)
+    server = ModelServer(
+        model=probe, max_batch_size=8, batch_timeout=0.002, max_queue=256,
+        workers=2, cache_size=0,
+    )
+    errors = []
+
+    def caller(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(20):
+                lo = int(rng.integers(0, len(x) - 20))
+                n = int(rng.choice([1, 1, 1, 3, 8, 20]))
+                if n == 1:
+                    ok = server.predict(x[lo]) == model.predict(x[lo:lo + 1])[0]
+                else:
+                    ok = np.array_equal(
+                        server.predict_many(x[lo:lo + n]),
+                        model.predict(x[lo:lo + n]),
+                    )
+                if not ok:
+                    raise AssertionError("wrong answer")
+        except BaseException as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=caller, args=(seed,)) for seed in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        depth = server.health()["queue_depth"]
+        closer = threading.Thread(target=server.close)
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    stats = server.stats()
+    # Leaders, joiners and workers shared two slots, every block landed
+    # in exactly one batch of at most 8 rows, and none was left queued.
+    assert probe.high_water <= 2 and stats["shed"] == 0
+    assert stats["metrics"]["histograms"]["serve/batch_size"]["max"] <= 8
+    assert _accounted(stats) == stats["requests"]
+    assert depth == 0
+
+
 def test_close_waits_for_a_callers_dispatch(model, x):
     entered, release = threading.Event(), threading.Event()
     events = []
@@ -710,7 +936,7 @@ def test_close_waits_for_a_callers_dispatch(model, x):
 def test_try_dispatch_refuses_once_closing_and_when_slots_are_busy():
     entered, release = threading.Event(), threading.Event()
 
-    def blocking(method, rows):
+    def blocking(method, rows, blocks):
         entered.set()
         release.wait(timeout=5.0)
         return rows[:, 0]
@@ -720,13 +946,40 @@ def test_try_dispatch_refuses_once_closing_and_when_slots_are_busy():
     assert batcher.submit(queued)
     assert entered.wait(timeout=5.0)  # the one slot is the worker's
     lone = ServeRequest("predict", np.ones((2, 1)), 0.0)
-    assert not batcher.try_dispatch(lone, blocking)
+    assert not batcher.try_dispatch(lone)
     assert not lone.done()
     release.set()
     assert queued.event.wait(timeout=5.0)
     batcher.close()
     with pytest.raises(ServerClosed):
-        batcher.try_dispatch(lone, blocking)
+        batcher.try_dispatch(lone)
+
+
+def test_blocks_join_a_filling_batch_until_one_cannot():
+    sizes = []
+
+    def dispatch(method, rows, blocks):
+        sizes.append(len(rows))
+        return rows[:, 0]
+
+    batcher = MicroBatcher(
+        dispatch, max_batch_size=4, batch_timeout=5.0, workers=2
+    )
+    assert batcher.submit(ServeRequest("predict", np.zeros((1, 1)), 0.0))
+    time.sleep(0.05)  # a worker holds it and waits for stragglers
+    lone = ServeRequest("predict", np.ones((1, 1)), 0.0)
+    # A slot is free, but a batch is filling: the block may not lead.
+    assert not batcher.try_dispatch(lone) and not lone.done()
+    assert batcher.submit(lone)
+    assert batcher.depth() == 0  # it joined the filling batch
+    # Three more rows overflow the batch: it dispatches at once.
+    big = ServeRequest("predict", np.full((3, 1), 2.0), 0.0)
+    assert batcher.submit(big)
+    assert lone.event.wait(timeout=2.0)
+    assert list(lone.result) == [1.0]
+    batcher.close()  # ends the fill of the batch the block opened
+    assert list(big.result) == [2.0] * 3
+    assert sizes == [2, 3]
 
 
 class FailsBatches:
@@ -756,6 +1009,22 @@ def test_failed_callers_dispatch_is_rescued_in_rows(model, x):
     assert failing.failed_on == [threading.current_thread()]
     assert stats["rescued"] == stats["requests"] == 32
     assert stats["batches"] == 0 and stats["shed"] == 0
+
+
+def test_rows_of_batches_that_all_failed_are_accounted(model, x):
+    failing = FailsBatches(model)
+    server = ModelServer(
+        model=failing, max_batch_size=32, cache_size=0,
+        resilience=ResiliencePolicy(retry=RetryPolicy(max_attempts=1)),
+    )
+    with server:
+        got = server.predict_many(x[:64])
+        stats = server.stats()
+    assert np.array_equal(np.array(got), model.predict(x[:64]))
+    assert len(failing.failed_on) == 2 and stats["batches"] == 0
+    # No batch succeeded, so no batch-size histogram exists: it counts 0.
+    assert "serve/batch_size" not in stats["metrics"]["histograms"]
+    assert _accounted(stats) == stats["rescued"] == stats["requests"] == 64
 
 
 def test_failed_callers_dispatch_reraises_without_a_policy(model, x):

@@ -93,6 +93,24 @@ def test_serve_smoke_and_predict_roundtrip(tmp_path, capsys):
     assert len(printed) == 3
 
 
+def test_serve_smoke_accounts_rows_when_every_batch_fails(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.serve import ModelServer
+
+    def failing_dispatch(self, *args, **kwargs):
+        raise RuntimeError("every batch fails")
+
+    # Each failed batch is rescued row by row, so no batch ever succeeds
+    # and the batch-size histogram is never created.
+    monkeypatch.setattr(ModelServer, "_dispatch", failing_dispatch)
+    assert main(["serve", "--fast", "--requests", "40", "--max-batch", "8",
+                 "--chaos", "--registry", str(tmp_path / "models")]) == 0
+    out = capsys.readouterr().out
+    assert "serve smoke test OK" in out
+    assert "batches=0" in out and "rescued=40" in out
+
+
 def test_predict_requires_registry_and_input():
     with pytest.raises(SystemExit):
         main(["predict"])
