@@ -768,9 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
                  + sorted(_TOOL_COMMANDS)),
         help="which table/figure to reproduce ('all' runs every "
              "experiment; 'serve'/'predict' drive the serving layer; "
-             "'metrics'/'trace' are observability tools; 'lint' and "
-             "'analyze' run the code-health tools and take their own "
-             "flags)",
+             "'metrics'/'trace' are observability tools; 'lint' runs "
+             "the static analysis and takes its own flags)",
     )
     parser.add_argument(
         "subaction", nargs="?", default=None,
@@ -928,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     raw = list(sys.argv[1:] if argv is None else argv)
-    # `repro lint ...` / `repro analyze ...` forward the rest of the
+    # `repro lint ...` / `repro linkcheck ...` forward the rest of the
     # command line to the dedicated tool parsers before the experiment
     # parser runs — their flags (--json, --dot, --write-baseline, ...)
     # have nothing to do with the experiment positionals.
@@ -936,10 +935,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .tools.lint.cli import main as lint_main
 
         return lint_main(raw[1:])
-    if raw and raw[0] == "analyze":
-        from .tools.analyze.cli import main as analyze_main
-
-        return analyze_main(raw[1:])
     if raw and raw[0] == "linkcheck":
         from .tools.linkcheck import main as linkcheck_main
 

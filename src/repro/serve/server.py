@@ -488,6 +488,7 @@ class ModelServer:
 
         shed: List[_Block] = []
         waiting: List[_Block] = []
+        queued = False
         if misses:
             buckets = self._route(span, method, rows, misses)
             for shard, members in buckets:
@@ -522,6 +523,7 @@ class ModelServer:
                 accepted = batcher.submit_many(
                     [request for _shard, _index, request in blocks]
                 )
+                queued = True
                 waiting += blocks[:accepted]
                 rejected = blocks[accepted:]
                 if rejected:
@@ -533,7 +535,9 @@ class ModelServer:
                     )
                     self.metrics.counter("serve/shed_total").inc(shed_rows)
                     shed += rejected
-            self._gauge_depth()
+            if queued:
+                # A led block never queues; its dispatch sets the gauge.
+                self._gauge_depth()
 
         def answer(index: List[int], values: Sequence[Any]) -> None:
             for i, value in zip(index, values):

@@ -1,11 +1,12 @@
-"""Whole-project concurrency analyzer.
+"""Whole-project concurrency analyses and the runtime lock-order checker.
 
 The repository's worst real bugs have all been concurrency bugs — the
 PhaseTimer thread-safety bug, PredictionCache stats read outside the
-lock, MicroBatcher shutdown stranding queued waiters.  The per-file
-``LOCK-DISCIPLINE`` heuristic in :mod:`repro.tools.lint` cannot see
-*which* attributes a lock actually guards or in what order locks nest,
-so this package builds the project-wide view:
+lock, MicroBatcher shutdown stranding queued waiters.  A per-file
+pattern cannot see *which* attributes a lock actually guards or in
+what order locks nest across classes, so this package builds the
+project-wide view that the lock rules of :mod:`repro.tools.lint`
+(``LOCK-DISCIPLINE``, ``GUARD-VIOLATION``, ``LOCK-ORDER-CYCLE``) read:
 
 - :mod:`repro.tools.analyze.symbols` — a class/attribute symbol table
   over every file under analysis: lock attributes, per-method attribute
@@ -25,20 +26,18 @@ so this package builds the project-wide view:
   records per-thread acquisition stacks during the test suite and
   raises on any lock-order inversion observed live.
 
-Findings reuse the lint engine's plumbing — per-line ``# reprolint:
-disable=RULE`` suppressions, fingerprint baselines, JSON output and
-0/1/2 exit codes — so ``python -m repro.tools.analyze src/`` drops into
-CI exactly like the linter.
+The lint runner builds the table and the graph once per run, so
+``python -m repro.tools.lint src/`` reports these findings with the
+same suppressions, baseline, JSON output and exit codes as every other
+rule, and ``--dot FILE`` writes the graph.
 """
 
-from .engine import AnalysisResult, analyze_source, run_analysis
-from .guards import GUARD_VIOLATION, GuardViolation, guard_findings
+from .guards import GUARD_VIOLATION, GuardViolation, class_violations
 from .lockcheck import CheckedLock, LockInversion, LockOrderError, LockOrderTracker
 from .lockorder import LOCK_ORDER_CYCLE, LockOrderGraph, build_lock_graph
 from .symbols import ClassInfo, MethodInfo, SymbolTable
 
 __all__ = [
-    "AnalysisResult",
     "CheckedLock",
     "ClassInfo",
     "GUARD_VIOLATION",
@@ -50,8 +49,6 @@ __all__ = [
     "LockOrderTracker",
     "MethodInfo",
     "SymbolTable",
-    "analyze_source",
     "build_lock_graph",
-    "guard_findings",
-    "run_analysis",
+    "class_violations",
 ]

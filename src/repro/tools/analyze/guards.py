@@ -2,9 +2,9 @@
 
 The invariant, per class: *an attribute ever written under*
 ``with self._lock:`` *is guarded by that lock* — every other read or
-write of it must hold the same lock.  The per-file ``LOCK-DISCIPLINE``
-lint rule checks the write half of this; the analyzer checks reads too,
-because the repository's actual bugs were torn *reads* — the
+write of it must hold the same lock.  The ``LOCK-DISCIPLINE`` lint
+rule checks the write half of this; ``GUARD-VIOLATION`` checks reads
+too, because the repository's actual bugs were torn *reads* — the
 ``PredictionCache.hit_rate`` pairing a fresh ``hits`` with a stale
 ``misses``, the ``PhaseTimer`` summary reading ``total_seconds`` and
 ``count`` from different moments.
@@ -26,12 +26,11 @@ justification for the deliberate unguarded fast paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
-from ..lint.engine import Finding
-from .symbols import Access, ClassInfo, SymbolTable
+from .symbols import Access, ClassInfo
 
-__all__ = ["GUARD_VIOLATION", "GuardViolation", "guard_findings"]
+__all__ = ["GUARD_VIOLATION", "GuardViolation", "class_violations"]
 
 GUARD_VIOLATION = "GUARD-VIOLATION"
 
@@ -90,35 +89,3 @@ def class_violations(cls: ClassInfo) -> List[GuardViolation]:
     violations.sort(key=lambda v: (v.access.line, v.access.col, v.access.attr))
     return violations
 
-
-def guard_findings(
-    table: SymbolTable,
-    sources: Optional[Dict[str, Sequence[str]]] = None,
-) -> List[Finding]:
-    """GUARD-VIOLATION findings over every class in the table.
-
-    ``sources`` maps path -> source lines (used for the finding's
-    ``source_line``, which the baseline fingerprints); the engine
-    passes the parsed contexts' lines so nothing is re-read from disk.
-    """
-    findings: List[Finding] = []
-    # Deterministic order: by path, then class line.
-    ordered = sorted(table.classes.values(), key=lambda c: (c.path, c.lineno))
-    for cls in ordered:
-        lines: Sequence[str] = (sources or {}).get(cls.path, ())
-        for violation in class_violations(cls):
-            access = violation.access
-            source_line = (
-                lines[access.line - 1] if 1 <= access.line <= len(lines) else ""
-            )
-            findings.append(
-                Finding(
-                    path=cls.path,
-                    line=access.line,
-                    col=access.col,
-                    rule=GUARD_VIOLATION,
-                    message=violation.message(),
-                    source_line=source_line,
-                )
-            )
-    return findings

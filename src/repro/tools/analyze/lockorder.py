@@ -14,10 +14,11 @@ orders the code *can* exhibit:
 
 Nodes are ``Class.lock_attr`` — *instance-free*, because lock ordering
 is a property of code paths, not of objects.  Re-entry of the same
-attribute (the registry's RLock) is therefore not an edge.  Every cycle
-in the graph is a ``LOCK-ORDER-CYCLE`` finding anchored at one of the
-cycle's acquisition sites; :func:`LockOrderGraph.to_dot` renders the
-whole graph (cycle edges highlighted) for the CI artifact.
+attribute (the registry's RLock) is therefore not an edge.  The lint
+rule ``LOCK-ORDER-CYCLE`` (:mod:`repro.tools.lint.rules.locks`) reports
+every edge inside a cycle at its acquisition site;
+:func:`LockOrderGraph.to_dot` renders the whole graph (cycle edges
+highlighted) for the CI artifact.
 
 What the static graph cannot see — locks reached through untyped
 locals, containers of handles, or dynamic dispatch — is exactly what
@@ -28,9 +29,8 @@ live, so the two tools bracket the problem from both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..lint.engine import Finding
 from .symbols import ClassInfo, SymbolTable
 
 __all__ = [
@@ -92,7 +92,7 @@ class LockOrderGraph:
     def cycles(self) -> List[List[LockNode]]:
         """Strongly-connected components with at least one real cycle.
 
-        Tarjan's algorithm, iterative (analyzer runs inside pytest with
+        Tarjan's algorithm, iterative (the linter runs inside pytest with
         a default recursion limit).  Each returned component is sorted
         for deterministic reporting.
         """
@@ -160,41 +160,23 @@ class LockOrderGraph:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def findings(
-        self, sources: Optional[Dict[str, Sequence[str]]] = None
-    ) -> List[Finding]:
-        """One LOCK-ORDER-CYCLE finding per edge participating in a cycle.
-
-        Anchoring at the edge site (rather than one synthetic location
-        per cycle) gives every inverted acquisition its own suppressible
-        line — breaking *any* edge of the cycle fixes the deadlock, and
-        the finding names the full cycle so the choice is informed.
-        """
-        findings: List[Finding] = []
-        for edge, component in self.cycle_edges():
-            ring = " -> ".join(node.label for node in component)
-            lines: Sequence[str] = (sources or {}).get(edge.path, ())
-            source_line = (
-                lines[edge.line - 1] if 1 <= edge.line <= len(lines) else ""
-            )
-            detail = f" via {edge.detail}" if edge.detail else ""
-            findings.append(
-                Finding(
-                    path=edge.path,
-                    line=edge.line,
-                    col=edge.col,
-                    rule=LOCK_ORDER_CYCLE,
-                    message=(
-                        f"acquiring `{edge.dst.label}` while holding "
-                        f"`{edge.src.label}`{detail} closes the cycle "
-                        f"[{ring} -> {component[0].label}] — opposite-order "
-                        "acquisition can deadlock"
-                    ),
-                    source_line=source_line,
-                )
-            )
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.message))
-        return findings
+    def to_json(self) -> Dict[str, object]:
+        """Nodes, edges and cycles by label, for the JSON report."""
+        return {
+            "nodes": [n.label for n in self.nodes],
+            "edges": [
+                {
+                    "src": e.src.label,
+                    "dst": e.dst.label,
+                    "path": e.path,
+                    "line": e.line,
+                    "kind": e.kind,
+                    "detail": e.detail,
+                }
+                for e in self.edges
+            ],
+            "cycles": [[n.label for n in cycle] for cycle in self.cycles()],
+        }
 
     def to_dot(self) -> str:
         """Graphviz DOT rendering; cycle edges are red and bold."""

@@ -32,9 +32,21 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from ..lint.engine import LintContext
+if TYPE_CHECKING:  # pragma: no cover - the linter imports this module
+    from ..lint.engine import LintContext
 
 __all__ = [
     "Access",
@@ -520,6 +532,12 @@ class SymbolTable:
                 _MethodWalker(info.lock_attrs, method).walk(stmt.body)
                 info.methods[stmt.name] = method
         return info
+
+    def all_classes(self) -> Iterator[ClassInfo]:
+        """Every indexed class, including any that a later class of the
+        same qualified name replaced in :attr:`classes`."""
+        for infos in self.by_name.values():
+            yield from infos
 
     # ------------------------------------------------------------------
     # Resolution

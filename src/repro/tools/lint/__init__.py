@@ -2,11 +2,12 @@
 
 Generic linters cannot state this project's invariants — that every
 random draw comes from an injected seeded ``Generator``, that the
-serving layer's lock-guarded attributes stay guarded, that metrics go
-through the sanctioned :class:`~repro.telemetry.metrics.MetricsRegistry`
-accessors.  This package encodes them as AST rules with CI-friendly
-plumbing (JSON output, exit codes, per-line suppressions, a committed
-baseline for accepted debt).
+serving layer's lock-guarded attributes stay guarded and its locks are
+taken in one order, that metrics go through the sanctioned
+:class:`~repro.telemetry.metrics.MetricsRegistry` accessors.  This
+package encodes them as AST rules with CI-friendly plumbing (JSON
+output, a Graphviz lock-order graph, exit codes, per-line
+suppressions, a committed baseline for accepted debt).
 
 Run it as ``python -m repro.tools.lint src/``.
 """
@@ -16,8 +17,11 @@ from .engine import (
     Finding,
     LintContext,
     LintResult,
+    Project,
+    ProjectRule,
     Rule,
     fingerprint,
+    lint_contexts,
     lint_source,
     run_lint,
 )
@@ -30,9 +34,12 @@ __all__ = [
     "Finding",
     "LintContext",
     "LintResult",
+    "Project",
+    "ProjectRule",
     "Rule",
     "default_rules",
     "fingerprint",
+    "lint_contexts",
     "lint_source",
     "rules_by_name",
     "run_lint",

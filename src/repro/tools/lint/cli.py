@@ -1,10 +1,12 @@
 """Command-line front end: ``python -m repro.tools.lint [paths...]``.
 
-Exit codes: 0 = clean (every finding baselined or none), 1 = at least
-one fresh finding or parse error, 2 = usage error.  ``--json`` emits a
-machine-readable report for CI; ``--write-baseline`` snapshots the
+Exit codes: 0 = clean (every finding suppressed or baselined, or
+none), 1 = at least one fresh finding or parse error, 2 = usage error.
+``--json`` emits a machine-readable report for CI; ``--dot FILE``
+writes the lock-acquisition-order graph as Graphviz DOT (cycle edges
+highlighted) for the CI artifact; ``--write-baseline`` snapshots the
 current findings as accepted debt (hand-edit the justifications
-afterwards).
+afterwards) and refuses a tree that does not parse.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.tools.lint",
         description=(
             "Project-specific static analysis: RNG determinism, lock "
-            "discipline, telemetry coverage and general hygiene."
+            "discipline, guarded attributes and lock order, telemetry "
+            "coverage and general hygiene."
         ),
     )
     parser.add_argument(
@@ -40,6 +43,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit a JSON report instead of human-readable lines",
+    )
+    parser.add_argument(
+        "--dot",
+        default=None,
+        metavar="FILE",
+        help="write the lock-acquisition-order graph as Graphviz DOT "
+        "('-' for stdout)",
     )
     parser.add_argument(
         "--baseline",
@@ -58,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--write-baseline",
         action="store_true",
-        help="write current findings to the baseline file and exit 0",
+        help="write current findings to the baseline file and exit 0 "
+        "(exit 1, writing nothing, if a file does not parse)",
     )
     parser.add_argument(
         "--select",
@@ -107,8 +118,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    if options.dot:
+        dot = result.graph.to_dot()
+        if options.dot == "-":
+            sys.stdout.write(dot)
+        else:
+            with open(options.dot, "w", encoding="utf-8") as handle:
+                handle.write(dot)
+
     if options.write_baseline:
-        snapshot = Baseline.from_findings(result.all_findings())
+        if result.parse_errors:
+            # A SYNTAX-ERROR entry could never be absorbed by a later run.
+            for finding in result.parse_errors:
+                print(finding.render())
+            print(f"{baseline_path} not written: fix the parse errors first")
+            return 1
+        snapshot = Baseline.from_findings(result.findings)
         snapshot.dump(baseline_path)
         print(
             f"wrote {len(snapshot.entries)} baseline entrie(s) to "
@@ -123,6 +148,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "rules": [rule.name for rule in rules],
             "findings": [f.to_json() for f in result.all_findings()],
             "baselined": [f.to_json() for f in result.baselined],
+            "suppressed": [f.to_json() for f in result.suppressed],
+            "lock_graph": result.graph.to_json(),
             "clean": result.clean,
         }
         print(json.dumps(report, indent=2))
@@ -134,11 +161,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = (
         f"{result.files_checked} file(s) checked, {fresh} finding(s)"
     )
+    if result.suppressed:
+        summary += f", {len(result.suppressed)} suppressed"
     if result.baselined:
         summary += f", {len(result.baselined)} baselined"
+    graph = result.graph
+    summary += (
+        f"; lock graph: {len(graph.nodes)} lock(s), "
+        f"{len(graph.edges)} order edge(s), {len(graph.cycles())} cycle(s)"
+    )
     print(summary)
     return 0 if result.clean else 1
-
-
-def _entry_point() -> None:
-    raise SystemExit(main())

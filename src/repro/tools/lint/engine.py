@@ -9,10 +9,16 @@ everything around them:
 
 - :class:`LintContext` — one parsed file (source, AST, dotted module
   name, per-line suppressions);
+- :class:`Project` — every file of one run, plus the whole-project
+  analyses built once from them: the class/attribute
+  :class:`~repro.tools.analyze.symbols.SymbolTable` and the
+  :class:`~repro.tools.analyze.lockorder.LockOrderGraph`;
 - :class:`Finding` — one rule violation at one location;
-- :func:`run_lint` — walk paths, parse, run every rule, apply
-  ``# reprolint: disable=RULE`` suppressions and the committed
-  baseline, and return a :class:`LintResult`.
+- :func:`run_lint` — walk paths and parse each file once;
+  :func:`lint_contexts` then runs every per-file :class:`Rule` on each
+  file and every :class:`ProjectRule` once over the :class:`Project`,
+  applies ``# reprolint: disable=RULE`` suppressions and the committed
+  baseline, and returns a :class:`LintResult`.
 
 Suppressions are per line::
 
@@ -31,14 +37,19 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
+from ..analyze.lockorder import LockOrderGraph, build_lock_graph
+from ..analyze.symbols import SymbolTable
+
 __all__ = [
     "Finding",
     "LintContext",
     "LintResult",
+    "Project",
+    "ProjectRule",
     "Rule",
     "collect_python_files",
     "fingerprint",
-    "lint_file",
+    "lint_contexts",
     "lint_source",
     "run_lint",
 ]
@@ -87,7 +98,7 @@ def fingerprint(finding: Finding) -> str:
 
 
 class Rule:
-    """Base class for one lint rule.
+    """Base class for one per-file lint rule.
 
     Subclasses set ``name`` / ``description`` and implement
     :meth:`check` as a generator of findings over ``ctx.tree``.
@@ -102,19 +113,24 @@ class Rule:
     def finding(
         self, ctx: "LintContext", node: ast.AST, message: str
     ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        source_line = ""
-        if 1 <= line <= len(ctx.lines):
-            source_line = ctx.lines[line - 1]
-        return Finding(
-            path=ctx.path,
-            line=line,
-            col=col,
-            rule=self.name,
-            message=message,
-            source_line=source_line,
+        return ctx.finding(
+            self.name,
+            getattr(node, "lineno", 1),
+            getattr(node, "col_offset", 0),
+            message,
         )
+
+
+class ProjectRule(Rule):
+    """Base class for a rule that needs every file of the run at once.
+
+    Subclasses implement :meth:`check_project` over the run's
+    :class:`Project` (its symbol table and lock graph) instead of
+    :meth:`Rule.check`; the runner calls it once, after parsing.
+    """
+
+    def check_project(self, project: "Project") -> Iterator[Finding]:
+        raise NotImplementedError
 
 
 class LintContext:
@@ -127,6 +143,11 @@ class LintContext:
         self.tree: ast.Module = ast.parse(source, filename=path)
         self.module = module if module is not None else _infer_module(path)
         self._suppressions: Dict[int, Set[str]] = _parse_suppressions(self.lines)
+
+    def finding(self, rule: str, line: int, col: int, message: str) -> Finding:
+        """A ``rule`` finding at ``line``/``col`` of this file."""
+        source_line = self.lines[line - 1] if 1 <= line <= len(self.lines) else ""
+        return Finding(self.path, line, col, rule, message, source_line)
 
     def suppressed(self, finding: Finding) -> bool:
         rules = self._suppressions.get(finding.line)
@@ -173,14 +194,32 @@ def _infer_module(path: str) -> Optional[str]:
     return ".".join(parts) if parts else None
 
 
+class Project:
+    """Every parsed file of one run, with the whole-project analyses.
+
+    The symbol table and the lock-order graph are built once per run;
+    every :class:`ProjectRule` reads them, and the CLI reports the graph.
+    """
+
+    def __init__(self, contexts: Sequence[LintContext]):
+        self.contexts = list(contexts)
+        self.by_path: Dict[str, LintContext] = {
+            ctx.path: ctx for ctx in self.contexts
+        }
+        self.table = SymbolTable.build(self.contexts)
+        self.graph = build_lock_graph(self.table)
+
+
 @dataclass
 class LintResult:
     """Outcome of a lint run over a set of files."""
 
     findings: List[Finding] = field(default_factory=list)
     baselined: List[Finding] = field(default_factory=list)
+    suppressed: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: List[Finding] = field(default_factory=list)
+    graph: LockOrderGraph = field(default_factory=LockOrderGraph)
 
     @property
     def clean(self) -> bool:
@@ -212,6 +251,38 @@ def collect_python_files(paths: Iterable[str]) -> List[str]:
     return sorted(set(collected))
 
 
+def lint_contexts(
+    contexts: Sequence[LintContext],
+    rules: Sequence[Rule],
+    baseline: Optional["Baseline"] = None,
+) -> LintResult:
+    """Run ``rules`` over already-parsed files.
+
+    Per-file rules run on each file; project rules run once over the
+    :class:`Project`.  Every finding is then sorted and split into
+    suppressed, baselined and fresh ones.
+    """
+    project = Project(contexts)
+    raw: List[Finding] = []
+    for rule in rules:
+        if isinstance(rule, ProjectRule):
+            raw.extend(rule.check_project(project))
+        else:
+            for ctx in project.contexts:
+                raw.extend(rule.check(ctx))
+    raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
+    result = LintResult(files_checked=len(project.contexts), graph=project.graph)
+    matcher = baseline.matcher() if baseline is not None else None
+    for finding in raw:
+        if project.by_path[finding.path].suppressed(finding):
+            result.suppressed.append(finding)
+        elif matcher is not None and matcher.absorb(finding):
+            result.baselined.append(finding)
+        else:
+            result.findings.append(finding)
+    return result
+
+
 def lint_source(
     source: str,
     rules: Sequence[Rule],
@@ -220,20 +291,7 @@ def lint_source(
 ) -> List[Finding]:
     """Run ``rules`` over in-memory source (fixture tests use this)."""
     ctx = LintContext(path, source, module=module)
-    findings: List[Finding] = []
-    for rule in rules:
-        for finding in rule.check(ctx):
-            if not ctx.suppressed(finding):
-                findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def lint_file(path: str, rules: Sequence[Rule]) -> List[Finding]:
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    display = os.path.relpath(path)
-    return lint_source(source, rules, path=display)
+    return lint_contexts([ctx], rules).findings
 
 
 def run_lint(
@@ -243,28 +301,26 @@ def run_lint(
 ) -> LintResult:
     """Lint every Python file under ``paths`` and split findings into
     fresh ones versus those covered by the committed baseline."""
-    result = LintResult()
-    matcher = baseline.matcher() if baseline is not None else None
+    contexts: List[LintContext] = []
+    parse_errors: List[Finding] = []
     for path in collect_python_files(paths):
-        result.files_checked += 1
+        display = os.path.relpath(path)
         try:
-            findings = lint_file(path, rules)
+            with open(path, encoding="utf-8") as handle:
+                contexts.append(LintContext(display, handle.read()))
         except SyntaxError as exc:
-            result.parse_errors.append(
+            parse_errors.append(
                 Finding(
-                    path=os.path.relpath(path),
+                    path=display,
                     line=exc.lineno or 1,
                     col=exc.offset or 0,
                     rule="SYNTAX-ERROR",
                     message=f"file does not parse: {exc.msg}",
                 )
             )
-            continue
-        for finding in findings:
-            if matcher is not None and matcher.absorb(finding):
-                result.baselined.append(finding)
-            else:
-                result.findings.append(finding)
+    result = lint_contexts(contexts, rules, baseline=baseline)
+    result.files_checked += len(parse_errors)
+    result.parse_errors = parse_errors
     return result
 
 

@@ -1,7 +1,9 @@
 """The project rule set.
 
 ``ALL_RULES`` is the canonical ordering used by the CLI and the
-self-check test; ``rules_by_name`` supports ``--select``.
+self-check test; ``rules_by_name`` supports ``--select``.  The lock
+rules are project rules (:class:`~repro.tools.lint.engine.ProjectRule`);
+the rest run file by file.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .general import (
     FloatEqualityRule,
     MutableDefaultRule,
 )
-from .locks import LockDisciplineRule
+from .locks import GuardViolationRule, LockDisciplineRule, LockOrderCycleRule
 from .rng import RngDeterminismRule
 from .telemetry import TelemetryCoverageRule
 
@@ -26,7 +28,9 @@ __all__ = [
     "BareExceptRule",
     "DocstringPublicRule",
     "FloatEqualityRule",
+    "GuardViolationRule",
     "LockDisciplineRule",
+    "LockOrderCycleRule",
     "MutableDefaultRule",
     "RngDeterminismRule",
     "TelemetryCoverageRule",
@@ -37,6 +41,8 @@ __all__ = [
 ALL_RULES = (
     RngDeterminismRule,
     LockDisciplineRule,
+    GuardViolationRule,
+    LockOrderCycleRule,
     TelemetryCoverageRule,
     DocstringPublicRule,
     MutableDefaultRule,

@@ -1,23 +1,26 @@
-"""LOCK-DISCIPLINE: attributes guarded by a lock stay guarded.
+"""Lock rules: LOCK-DISCIPLINE, GUARD-VIOLATION and LOCK-ORDER-CYCLE.
 
 The serving layer's correctness argument (atomic hot-swap in
 ``ModelRegistry``, LRU consistency in ``PredictionCache``, bounded
 queue in ``MicroBatcher``) rests on a convention no generic linter
 checks: *if an attribute is ever mutated under* ``with self._lock:``,
-*every* mutation of it must hold that lock.  A single unguarded write
-is a data race that no test reliably catches.
+*every* access to it must hold that lock, and no two code paths may
+take the same locks in opposite orders.  A single unguarded write is a
+data race that no test reliably catches.
 
-The guard-set inference itself lives in the concurrency analyzer's
-symbol table (:mod:`repro.tools.analyze.symbols`): lock-attribute
-discovery, write collection (assignments, aug-assignments, deletes and
-mutating method calls), and held-lock tracking through ``with self.X:``
-bodies are all computed there, once, and shared with the project-wide
-analyses (``GUARD-VIOLATION`` / ``LOCK-ORDER-CYCLE``).  This rule is
-the per-file, writes-only subset of that machinery: it flags a write to
-a guarded attribute made while holding *no* class lock.  The analyzer's
-``GUARD-VIOLATION`` is the stricter superset (reads too, and
-wrong-lock accesses); keeping this rule separate keeps its ID — and
-every existing suppression and baseline fingerprint — stable.
+The three rules are project rules: they read the run's one
+class/attribute symbol table (:mod:`repro.tools.analyze.symbols`) and
+its lock-acquisition-order graph (:mod:`repro.tools.analyze.lockorder`),
+which the runner builds once over every parsed file.
+
+- ``LOCK-DISCIPLINE`` flags a write to a guarded attribute made while
+  holding *no* class lock.  Each class is built from its own file, so
+  this is a per-file check; it keeps its ID, suppressions and baseline
+  fingerprints.
+- ``GUARD-VIOLATION`` (:mod:`repro.tools.analyze.guards`) is the
+  stricter superset: reads too, and accesses under a different lock.
+- ``LOCK-ORDER-CYCLE`` flags every acquisition edge inside a cycle of
+  the graph (a potential deadlock), across classes and modules.
 
 Two escapes encode legitimate patterns: ``__init__`` / ``__new__`` are
 exempt (no concurrent readers can exist before the constructor
@@ -30,24 +33,24 @@ from __future__ import annotations
 
 from typing import Iterator, Set, Tuple
 
-from ...analyze.symbols import ClassInfo, SymbolTable
-from ..engine import Finding, LintContext, Rule
+from ...analyze.guards import GUARD_VIOLATION, class_violations
+from ...analyze.lockorder import LOCK_ORDER_CYCLE
+from ...analyze.symbols import ClassInfo
+from ..engine import Finding, LintContext, Project, ProjectRule
 
-__all__ = ["LockDisciplineRule"]
+__all__ = ["GuardViolationRule", "LockDisciplineRule", "LockOrderCycleRule"]
 
 
-class LockDisciplineRule(Rule):
+class LockDisciplineRule(ProjectRule):
     name = "LOCK-DISCIPLINE"
     description = (
         "Attributes mutated under a class lock must always be mutated "
         "under it (except __init__ and *_locked helpers)"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        table = SymbolTable.build([ctx])
-        for cls in table.classes.values():
-            if cls.path == ctx.path:
-                yield from self._check_class(ctx, cls)
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        for cls in project.table.all_classes():
+            yield from self._check_class(project.by_path[cls.path], cls)
 
     def _check_class(
         self, ctx: LintContext, cls: ClassInfo
@@ -66,27 +69,55 @@ class LockDisciplineRule(Rule):
                 if access.kind != "write" or access.attr not in guarded:
                     continue
                 if access.held:
-                    # The old rule accepted *any* class lock here; the
-                    # wrong-lock case is GUARD-VIOLATION's to report.
+                    # Any class lock satisfies this rule; the wrong-lock
+                    # case is GUARD-VIOLATION's to report.
                     continue
                 key = (access.attr, access.line)
                 if key in reported:
                     continue
                 reported.add(key)
-                source_line = ""
-                if 1 <= access.line <= len(ctx.lines):
-                    source_line = ctx.lines[access.line - 1]
-                yield Finding(
-                    path=ctx.path,
-                    line=access.line,
-                    col=access.col,
-                    rule=self.name,
-                    message=(
-                        f"`self.{access.attr}` is mutated under a lock "
-                        f"elsewhere in `{cls.name}` but written here "
-                        "without holding one; wrap in `with self."
-                        f"{default_lock}:` (or rename the method *_locked "
-                        "if callers hold it)"
-                    ),
-                    source_line=source_line,
+                yield ctx.finding(
+                    self.name,
+                    access.line,
+                    access.col,
+                    f"`self.{access.attr}` is mutated under a lock "
+                    f"elsewhere in `{cls.name}` but written here "
+                    "without holding one; wrap in `with self."
+                    f"{default_lock}:` (or rename the method *_locked "
+                    "if callers hold it)",
                 )
+
+
+class GuardViolationRule(ProjectRule):
+    name = GUARD_VIOLATION
+    description = "Guarded attribute read or written outside its lock"
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        for cls in project.table.all_classes():
+            ctx = project.by_path[cls.path]
+            for violation in class_violations(cls):
+                access = violation.access
+                yield ctx.finding(
+                    self.name, access.line, access.col, violation.message()
+                )
+
+
+class LockOrderCycleRule(ProjectRule):
+    name = LOCK_ORDER_CYCLE
+    description = "Locks acquired in a cyclic order (potential deadlock)"
+
+    def check_project(self, project: Project) -> Iterator[Finding]:
+        # One finding per edge of a cycle, at its acquisition site:
+        # breaking any edge fixes the deadlock, and each names the ring.
+        for edge, component in project.graph.cycle_edges():
+            ring = " -> ".join(node.label for node in component)
+            detail = f" via {edge.detail}" if edge.detail else ""
+            yield project.by_path[edge.path].finding(
+                self.name,
+                edge.line,
+                edge.col,
+                f"acquiring `{edge.dst.label}` while holding "
+                f"`{edge.src.label}`{detail} closes the cycle "
+                f"[{ring} -> {component[0].label}] — opposite-order "
+                "acquisition can deadlock",
+            )

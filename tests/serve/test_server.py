@@ -594,6 +594,22 @@ def test_one_block_calls_lead_and_multi_block_calls_use_the_workers(
         assert threads == {threading.current_thread()}
 
 
+def test_led_single_row_sets_the_depth_gauge_once(model, x, monkeypatch):
+    depths = []
+    depth = MicroBatcher.depth
+
+    def counting_depth(self):
+        depths.append(threading.current_thread())
+        return depth(self)
+
+    monkeypatch.setattr(MicroBatcher, "depth", counting_depth)
+    with ModelServer(model=model, batch_timeout=0.0, cache_size=0) as server:
+        got = server.predict(x[0])
+        # The led block never queued: only its dispatch reads the depth.
+        assert depths == [threading.current_thread()]
+    assert got == model.predict(x[:1])[0]
+
+
 @pytest.fixture
 def hashed(monkeypatch):
     """Rows per :meth:`PredictionCache.make_keys` call, in call order."""

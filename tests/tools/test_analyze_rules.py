@@ -1,10 +1,10 @@
-"""Good/bad fixture pairs for the concurrency analyzer.
+"""Good/bad fixture pairs for the concurrency analyses.
 
 Each analysis gets at least one seeded-bad snippet that must produce
 exactly the expected findings and the corrected snippet that must not.
-Snippets are analyzed in memory via
-:func:`repro.tools.analyze.analyze_source`; the src/ self-check lives
-in ``test_analyze_self.py``.
+Snippets run in memory through the linter's GUARD-VIOLATION and
+LOCK-ORDER-CYCLE rules via :func:`repro.tools.lint.lint_contexts`; the
+src/ self-check lives in ``test_lint_self.py``.
 """
 
 import textwrap
@@ -12,16 +12,18 @@ import textwrap
 from repro.tools.analyze import (
     GUARD_VIOLATION,
     LOCK_ORDER_CYCLE,
-    analyze_source,
     build_lock_graph,
 )
-from repro.tools.analyze.engine import analyze_contexts
 from repro.tools.analyze.symbols import SymbolTable
+from repro.tools.lint import lint_contexts, rules_by_name
 from repro.tools.lint.engine import LintContext
+
+CONCURRENCY_RULES = [GUARD_VIOLATION, LOCK_ORDER_CYCLE]
 
 
 def analyze(source, module="repro.fake"):
-    return analyze_source(textwrap.dedent(source), module=module)
+    ctx = LintContext("<string>", textwrap.dedent(source), module=module)
+    return lint_contexts([ctx], rules_by_name(CONCURRENCY_RULES))
 
 
 def rules_hit(result):
@@ -366,4 +368,4 @@ class TestSymbolTable:
         info = table.classes["repro.fake.G"]
         assert info.guarded_attrs() == {"n": frozenset({"_a", "_b"})}
         # Either lock satisfies the guard, so the file is clean.
-        assert analyze_contexts([ctx]).findings == []
+        assert lint_contexts([ctx], rules_by_name(CONCURRENCY_RULES)).findings == []

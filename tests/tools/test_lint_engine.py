@@ -1,6 +1,7 @@
 """Engine plumbing: suppressions, baselines, CLI exit codes, JSON."""
 
 import json
+import os
 import textwrap
 
 import pytest
@@ -14,7 +15,12 @@ from repro.tools.lint import (
 )
 from repro.tools.lint.cli import main
 from repro.tools.lint.engine import LintContext, collect_python_files
-from repro.tools.lint.rules import AssertRuntimeRule, default_rules
+from repro.tools.lint.rules import (
+    ALL_RULES,
+    AssertRuntimeRule,
+    default_rules,
+    rules_by_name,
+)
 
 BAD_SNIPPET = textwrap.dedent(
     """
@@ -23,6 +29,37 @@ BAD_SNIPPET = textwrap.dedent(
     def sample():
         np.random.seed(0)
         return np.random.rand(3)
+    """
+)
+
+# Two locks taken in both orders (one LOCK-ORDER-CYCLE per edge), one
+# unguarded read (GUARD-VIOLATION) and one suppressed unguarded read.
+LOCK_SNIPPET = textwrap.dedent(
+    """
+    import threading
+
+    class Pool:
+        def __init__(self):
+            self._a = threading.Lock()
+            self._b = threading.Lock()
+            self.items = []
+
+        def put(self, x):
+            with self._a:
+                with self._b:
+                    self.items.append(x)
+
+        def drain(self):
+            with self._b:
+                with self._a:
+                    self.items.clear()
+
+        def size(self):
+            return len(self.items)
+
+        def peek(self):
+            # Racy by design: a stale answer is fine for a peek.
+            return self.items[-1]  # reprolint: disable=GUARD-VIOLATION
     """
 )
 
@@ -178,6 +215,47 @@ class TestDiscovery:
 
 
 # ----------------------------------------------------------------------
+# Project rules
+# ----------------------------------------------------------------------
+class TestProjectRules:
+    UNGUARDED_RESET = textwrap.dedent(
+        """
+        import threading
+
+        class Box:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.value = 0
+
+            def set(self, v):
+                with self._lock:
+                    self.value = v
+
+            def reset(self):
+                self.value = 0
+        """
+    )
+
+    def test_every_class_is_checked_when_module_names_collide(self, tmp_path):
+        # Two scripts outside any package both infer module `box`, so
+        # their classes share one qualified name in the symbol table.
+        for script_dir in ("a", "b"):
+            (tmp_path / script_dir).mkdir()
+            (tmp_path / script_dir / "box.py").write_text(self.UNGUARDED_RESET)
+        rules = rules_by_name(["LOCK-DISCIPLINE", "GUARD-VIOLATION"])
+        result = run_lint([str(tmp_path)], rules)
+        hits = sorted(
+            (f.path.split(os.sep)[-2], f.rule, f.line) for f in result.findings
+        )
+        assert hits == [
+            ("a", "GUARD-VIOLATION", 14),
+            ("a", "LOCK-DISCIPLINE", 14),
+            ("b", "GUARD-VIOLATION", 14),
+            ("b", "LOCK-DISCIPLINE", 14),
+        ]
+
+
+# ----------------------------------------------------------------------
 # CLI behaviour
 # ----------------------------------------------------------------------
 class TestCli:
@@ -253,6 +331,79 @@ class TestCli:
         code = main([str(tmp_path / "ghost")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_write_baseline_refuses_unparsable_tree(self, tmp_path, capsys):
+        (tmp_path / "bad.py").write_text(BAD_SNIPPET)
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        baseline_path = tmp_path / DEFAULT_BASELINE_NAME
+
+        code = main(
+            [str(tmp_path), "--baseline", str(baseline_path), "--write-baseline"]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "SYNTAX-ERROR" in out
+        assert not baseline_path.exists()
+
+    def test_dot_writes_lock_graph_with_red_cycle_edges(self, tmp_path, capsys):
+        src = tmp_path / "pool.py"
+        src.write_text(LOCK_SNIPPET)
+        dot_path = tmp_path / "lock-order.dot"
+
+        code = main([str(src), "--no-baseline", "--dot", str(dot_path)])
+        capsys.readouterr()
+        assert code == 1
+        dot = dot_path.read_text()
+        assert dot.startswith("digraph lock_order {")
+        assert '"Pool._a" -> "Pool._b"' in dot
+        assert '"Pool._b" -> "Pool._a"' in dot
+        assert dot.count('color="red"') == 2
+
+        main([str(src), "--no-baseline", "--dot", "-"])
+        assert dot in capsys.readouterr().out
+
+    def test_json_carries_lock_graph_and_suppressed(self, tmp_path, capsys):
+        src = tmp_path / "pool.py"
+        src.write_text(LOCK_SNIPPET)
+
+        code = main([str(src), "--json", "--no-baseline"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        graph = report["lock_graph"]
+        assert graph["nodes"] == ["Pool._a", "Pool._b"]
+        assert {(e["src"], e["dst"]) for e in graph["edges"]} == {
+            ("Pool._a", "Pool._b"),
+            ("Pool._b", "Pool._a"),
+        }
+        assert all(e["kind"] == "nested-with" for e in graph["edges"])
+        assert graph["cycles"] == [["Pool._a", "Pool._b"]]
+        rules = [f["rule"] for f in report["findings"]]
+        assert rules.count("LOCK-ORDER-CYCLE") == 2
+        assert rules.count("GUARD-VIOLATION") == 1
+        [suppressed] = report["suppressed"]
+        assert suppressed["rule"] == "GUARD-VIOLATION"
+        assert "disable=GUARD-VIOLATION" in suppressed["source_line"]
+
+    def test_select_guard_violation_runs_only_it(self, tmp_path, capsys):
+        src = tmp_path / "pool.py"
+        src.write_text(LOCK_SNIPPET + "\n" + BAD_SNIPPET)
+
+        code = main(
+            [str(src), "--json", "--no-baseline", "--select", "GUARD-VIOLATION"]
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["rules"] == ["GUARD-VIOLATION"]
+        assert {f["rule"] for f in report["findings"]} == {"GUARD-VIOLATION"}
+        assert len(report["findings"]) == 1
+
+    def test_list_rules_covers_all_ten(self, capsys):
+        code = main(["--list-rules"])
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert code == 0
+        assert listed == [rule.name for rule in ALL_RULES]
+        assert len(listed) == 10
+        assert {"GUARD-VIOLATION", "LOCK-ORDER-CYCLE"} <= set(listed)
 
     def test_list_rules(self, capsys):
         code = main(["--list-rules"])
