@@ -11,7 +11,7 @@ call shape, a lone full block that the caller scores on its own
 thread — and reports calls/s and p50/p99 per call.  A fourth,
 ``single_rows``, is the e2e ``serve`` workload's traffic shape: two
 threads send single-row ``predict`` calls to a server with default
-settings (2 ms ``batch_timeout``, 2 workers), and it reports process
+settings (2 ms ``batch_timeout``, 2 dispatch slots), and it reports process
 CPU µs per request, batches, mean batch size and p50/p99 per call.
 
 Both modes send the burst through ``predict_many``, which keys its rows
@@ -35,7 +35,7 @@ Run standalone (CI) or under pytest-benchmark like the other benches::
     PYTHONPATH=src python -m pytest benchmarks/bench_serve_throughput.py
 
 Run as a script it uses one BLAS thread, as ``benchmarks/e2e/run.py``
-does, so OpenBLAS's thread pool cannot compete with the serving threads
+does, so OpenBLAS's thread pool cannot compete with the sending threads
 for the CPUs in an unpinned run.
 """
 
@@ -119,9 +119,9 @@ def make_server(model, x, max_batch_size):
 def serve_burst(model, x, max_batch_size, repeats=3):
     """Push every row through a server; returns (labels, qps, stats).
 
-    The first pass is an untimed warm-up (worker-thread spin-up, BLAS
-    first-touch); the burst then repeats and the best pass is reported,
-    the usual way to reject scheduler noise on shared CI runners.
+    The first pass is an untimed warm-up (BLAS first-touch); the burst
+    then repeats and the best pass is reported, the usual way to reject
+    scheduler noise on shared CI runners.
     """
     server = make_server(model, x, max_batch_size)
     with server:

@@ -75,7 +75,7 @@ def measure_modes(model, x, tracers, repeats=4, chunk=96):
     own root span and head sampling applies per request exactly as in
     production traffic.  A single-threaded driver is deliberate: a
     thread-pool driver measures GIL/scheduler contention between the
-    driver threads and the dispatch worker, which on a shared runner
+    driver threads leading each other's batches, which on a shared runner
     swings per-mode QPS by 10-25% between bursts — an order of
     magnitude more than the effect under test.
 

@@ -817,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--serve-workers", type=int, default=2,
-        help="serve only: dispatch worker threads",
+        help="serve only: dispatch slots per batcher",
     )
     serving.add_argument(
         "--shards", type=int, default=0, metavar="N",

@@ -185,8 +185,8 @@ class AnalyticsStack:
         micro-batching/caching knobs pass through ``server_kwargs``.
         The server scores *encoded* feature rows; use ``result.encoder``
         to transform cleaned tables into its input space.  Close the
-        returned server (it is a context manager) to stop the worker
-        pool.
+        returned server (it is a context manager) to answer what is
+        still queued and stop accepting requests.
         """
         from ..serve.registry import ModelRegistry
         from ..serve.server import ModelServer

@@ -1,4 +1,4 @@
-"""Model serving: registry, micro-batching, caching, worker pool.
+"""Model serving: registry, micro-batching, caching, sharding.
 
 The paper's tool lives inside a production analytics stack where
 trained readmission-risk models answer *live* queries; this subsystem
@@ -10,11 +10,11 @@ closes the repo's train → serve gap:
     of the active version and a :class:`~repro.nn.checkpoint.LoadReport`
     based architecture-compatibility check.
 :mod:`repro.serve.batching`
-    :class:`MicroBatcher` — bounded FIFO + worker pool that coalesces
-    concurrently queued row blocks (a single-row request is a 1-row
-    block) into one NumPy batch call; its limits count rows.  A caller
-    holding one block may lead its own batch on its own thread, and
-    blocks submitted meanwhile join it.
+    :class:`MicroBatcher` — bounded FIFO that coalesces concurrently
+    queued row blocks (a single-row request is a 1-row block) into one
+    NumPy batch call; its limits count rows.  It starts no thread:
+    callers lead the batches, their own block or the queue's head, and
+    blocks submitted during a batch's fill wait join it.
 :mod:`repro.serve.cache`
     :class:`PredictionCache` — LRU of per-row results keyed on
     method x model-version x row dtype/shape/bytes, looked up and

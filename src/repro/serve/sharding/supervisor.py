@@ -3,15 +3,13 @@
 The supervisor owns the *process* lifecycle of the sharded tier so the
 server can treat shards as just "channels that sometimes die":
 
-- **spawn** — workers are forked up front, *before* the server starts
-  any dispatcher threads (forking a threaded process risks cloning a
-  held allocator lock into the child; forking first sidesteps the whole
+- **spawn** — workers are forked up front, *before* the monitor
+  thread starts (forking a threaded process risks cloning a held
+  allocator lock into the child; forking first sidesteps the whole
   class of problem for the initial fleet);
 - **watch** — a monitor thread polls ``Process.is_alive`` every
-  ``monitor_interval`` seconds and respawns anything dead, and the
-  dispatch path reports deaths it notices first (a
-  :class:`~repro.serve.sharding.shm.ShardDead` mid-batch) so recovery
-  starts immediately rather than on the next poll tick;
+  ``monitor_interval`` seconds and respawns anything dead, and a
+  caller rescuing a batch whose worker died respawns it at once;
 - **respawn** — a fresh process gets a fresh pipe (stale replies from
   the dead incarnation can never be mistaken for new ones) and the
   **last-known-good state blob**, so a worker that died after a
@@ -92,7 +90,7 @@ class ShardSupervisor:
         Seconds between liveness sweeps.
 
     Workers start by ``fork``, which supports unpicklable models; the
-    owner creates the supervisor before it starts any thread.
+    constructor forks the initial fleet, then starts the monitor thread.
     """
 
     def __init__(
@@ -119,7 +117,6 @@ class ShardSupervisor:
         self._last_version = version
         self._last_blob: Optional[bytes] = None
         self._closing = threading.Event()
-        self._monitor: Optional[threading.Thread] = None
         self.handles: List[ShardHandle] = []
         for shard_id in range(self.n_shards):
             channel = ShardChannel(
@@ -130,6 +127,10 @@ class ShardSupervisor:
             handle.version = version
             self.handles.append(handle)
             self._spawn_locked(handle)
+        self._monitor = threading.Thread(
+            target=self._watch, name="shard-supervisor", daemon=True
+        )
+        self._monitor.start()
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -161,20 +162,6 @@ class ShardSupervisor:
             self.metrics.gauge(
                 f"serve/shard/{handle.shard_id}/alive"
             ).set(1.0 if handle.alive else 0.0)
-
-    def start(self) -> None:
-        """Begin the background liveness monitor (idempotent).
-
-        Separate from ``__init__`` so the caller can finish its own
-        single-threaded setup first — every initial fork happens before
-        any thread exists.
-        """
-        if self._monitor is not None:
-            return
-        self._monitor = threading.Thread(
-            target=self._watch, name="shard-supervisor", daemon=True
-        )
-        self._monitor.start()
 
     def _watch(self) -> None:
         while not self._closing.wait(self.monitor_interval):
@@ -267,9 +254,7 @@ class ShardSupervisor:
     def close(self) -> None:
         """Stop the monitor, then the fleet (stop → join → kill)."""
         self._closing.set()
-        monitor = self._monitor
-        if monitor is not None:
-            monitor.join(timeout=self.control_timeout)
+        self._monitor.join(timeout=self.control_timeout)
         for handle in self.handles:
             handle.channel.stop()
         deadline = time.monotonic() + self.control_timeout

@@ -24,8 +24,8 @@ both first-class observables of the Algorithm 1/2 training loop:
     CLI can instrument trainers they never construct directly.
 :mod:`repro.telemetry.trace`
     Request/training tracing: :class:`Tracer`, :class:`Span` and
-    :class:`TraceContext` propagated via :mod:`contextvars` across the
-    serve worker-thread boundary, with a crash-safe JSONL span log.
+    :class:`TraceContext` propagated via :mod:`contextvars` to whichever
+    caller thread leads a serve batch, with a crash-safe JSONL span log.
 :mod:`repro.telemetry.exposition`
     Prometheus text exposition of a registry plus the stdlib
     ``/metrics`` HTTP endpoint behind ``repro serve --metrics-port``.

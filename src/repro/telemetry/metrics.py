@@ -234,6 +234,18 @@ class PhaseTimer:
             self.count += 1
         return elapsed
 
+    def add(self, seconds: float) -> None:
+        """Accumulate one span the caller timed itself.
+
+        For a span that opens and closes in separate calls on a thread
+        that opens others in between (a dispatch fanned out to several
+        shards), which :meth:`start`/:meth:`stop` cannot nest.
+        """
+        with self._lock:
+            self.total_seconds += seconds
+            self.last_seconds = seconds
+            self.count += 1
+
     def __enter__(self) -> "PhaseTimer":
         self.start()
         return self

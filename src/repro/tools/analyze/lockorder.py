@@ -53,7 +53,7 @@ _MAX_FIXPOINT_ROUNDS = 64
 class LockNode:
     """One lock *attribute* of one class (instance-free identity)."""
 
-    cls: str  # bare class name (display) — unique per qualified below
+    cls: str  # class name (display); a shadowed class adds where it is
     qualified: str  # "module.Class.lock_attr"
     attr: str
 
@@ -208,23 +208,38 @@ class LockOrderGraph:
         return "\n".join(lines) + "\n"
 
 
-def _method_key(cls: ClassInfo, method: str) -> str:
-    return f"{cls.qualified}.{method}"
+def _class_identity(table: SymbolTable, cls: ClassInfo) -> Tuple[str, str]:
+    """``(key, display name)`` of ``cls`` in the graph.
+
+    A class that a later class of the same qualified name replaced in
+    :attr:`SymbolTable.classes` (two nested ``Pair`` classes in one
+    file, say) keeps its own lock nodes and methods, told apart by where
+    it is defined, so two different classes never share a node.
+    """
+    if table.classes.get(cls.qualified) is cls:
+        return cls.qualified, cls.name
+    where = f"@{cls.path}:{cls.lineno}"
+    return cls.qualified + where, cls.name + where
 
 
 def build_lock_graph(table: SymbolTable) -> LockOrderGraph:
     """The acquisition-order graph over every class in the table."""
     nodes: Dict[str, LockNode] = {}
+    ordered = sorted(table.all_classes(), key=lambda c: (c.path, c.lineno))
+    identity = {id(cls): _class_identity(table, cls) for cls in ordered}
 
     def node_for(cls: ClassInfo, attr: str) -> LockNode:
-        qualified = f"{cls.qualified}.{attr}"
+        key, name = identity[id(cls)]
+        qualified = f"{key}.{attr}"
         existing = nodes.get(qualified)
         if existing is None:
-            existing = LockNode(cls=cls.name, qualified=qualified, attr=attr)
+            existing = LockNode(cls=name, qualified=qualified, attr=attr)
             nodes[qualified] = existing
         return existing
 
-    ordered = sorted(table.classes.values(), key=lambda c: (c.path, c.lineno))
+    def method_key(cls: ClassInfo, method: str) -> str:
+        return f"{identity[id(cls)][0]}.{method}"
+
     for cls in ordered:
         for attr in sorted(cls.lock_attrs):
             node_for(cls, attr)
@@ -241,7 +256,7 @@ def build_lock_graph(table: SymbolTable) -> LockOrderGraph:
             direct = {
                 node_for(cls, acq.lock) for acq in method.acquisitions
             }
-            may_acquire[_method_key(cls, method.name)] = direct
+            may_acquire[method_key(cls, method.name)] = direct
 
     def callee_key(cls: ClassInfo, call_receiver: str, call_method: str) -> Optional[str]:
         if call_receiver == "self":
@@ -250,13 +265,13 @@ def build_lock_graph(table: SymbolTable) -> LockOrderGraph:
             target = table.attr_class(cls, call_receiver)
         if target is None or call_method not in target.methods:
             return None
-        return _method_key(target, call_method)
+        return method_key(target, call_method)
 
     for _round in range(_MAX_FIXPOINT_ROUNDS):
         changed = False
         for cls in ordered:
             for method in cls.methods.values():
-                key = _method_key(cls, method.name)
+                key = method_key(cls, method.name)
                 acquired = may_acquire[key]
                 before = len(acquired)
                 for call in method.calls:

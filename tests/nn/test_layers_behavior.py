@@ -99,7 +99,7 @@ def test_avgpool_counts_pad_cells_in_the_mean():
 
 def test_concurrent_inference_matches_serial_outputs():
     """Inference forwards on one model from many threads (as the
-    server's batcher workers run them) give the single-threaded bits."""
+    server's leading callers run them) give the single-threaded bits."""
     net = alex_cifar10(image_size=16, seed=0)
     n_threads = (os.cpu_count() or 1) + 2
     rng = np.random.default_rng(7)

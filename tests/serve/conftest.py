@@ -3,9 +3,9 @@
 Every ``threading.Lock``/``RLock``/``Condition`` created by ``repro.*``
 modules during a test is a :class:`CheckedLock`; any lock-order
 inversion observed live fails the test at teardown.  Recording mode
-(no mid-flight raise) keeps worker threads alive so the request that
-exhibited the inversion still completes — the teardown assertion is
-what turns the suite red.
+(no mid-flight raise) lets the thread that exhibited the inversion
+complete its request — the teardown assertion is what turns the suite
+red.
 """
 
 import pytest

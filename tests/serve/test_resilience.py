@@ -515,14 +515,15 @@ def test_close_drain_completes_queued_requests():
     def dispatch(method, rows, blocks):
         released.wait(timeout=5.0)
         dispatched.append(len(rows))
-        return [0] * len(rows)
+        return lambda: [0] * len(rows)
 
     batcher = MicroBatcher(
         dispatch, max_batch_size=2, batch_timeout=0.0, max_queue=16,
         workers=1,
     )
-    requests = [ServeRequest("predict", np.zeros(1), 0.0) for _ in range(6)]
+    requests = [ServeRequest("predict", np.zeros(1)) for _ in range(6)]
     assert batcher.submit_many(requests) == 6
+    # Nobody waits on them: the closing thread leads every batch.
     closer = threading.Thread(target=batcher.close, kwargs={"drain": True})
     closer.start()
     released.set()
@@ -535,34 +536,36 @@ def test_close_drain_completes_queued_requests():
 
 
 def test_close_without_drain_fails_queued_with_server_closed():
-    released = threading.Event()
+    entered, released = threading.Event(), threading.Event()
 
     def dispatch(method, rows, blocks):
+        entered.set()
         released.wait(timeout=5.0)
-        return [0] * len(rows)
+        return lambda: [0] * len(rows)
 
     batcher = MicroBatcher(
         dispatch, max_batch_size=1, batch_timeout=0.0, max_queue=16,
         workers=1,
     )
-    requests = [ServeRequest("predict", np.zeros(1), 0.0) for _ in range(5)]
+    requests = [ServeRequest("predict", np.zeros(1)) for _ in range(5)]
     assert batcher.submit_many(requests) == 5
-    # Worker holds request 0 in dispatch; the rest are still queued.
-    time.sleep(0.05)
+    # A caller waiting on request 0 leads it into dispatch; the rest
+    # are still queued.
+    leader = threading.Thread(target=batcher.wait, args=(requests[0],))
+    leader.start()
+    assert entered.wait(timeout=5.0)
     closer = threading.Thread(target=batcher.close, kwargs={"drain": False})
     closer.start()
     released.set()
     closer.join(timeout=5.0)
-    assert not closer.is_alive()
+    leader.join(timeout=5.0)
+    assert not closer.is_alive() and not leader.is_alive()
     outcomes = []
     for request in requests:
         assert request.done()  # regression: nobody left waiting forever
         outcomes.append(request.error)
-    assert all(
-        error is None or isinstance(error, ServerClosed)
-        for error in outcomes
-    )
-    assert any(isinstance(error, ServerClosed) for error in outcomes)
+    assert outcomes[0] is None  # the batch in flight completed
+    assert all(isinstance(error, ServerClosed) for error in outcomes[1:])
 
 
 def test_submissions_after_close_raise_typed_error(model, x):

@@ -284,6 +284,47 @@ class TestLockOrderCycle:
         assert result.findings == []
         assert result.graph.edges == []
 
+    def test_shadowed_classes_keep_their_own_locks_and_edges(self):
+        # Two nested classes of one qualified name take their locks in
+        # opposite orders: each keeps its own two nodes and its edge,
+        # and two different classes make no cycle.
+        result = analyze(
+            """
+            import threading
+
+            def first():
+                class Pair:
+                    def __init__(self):
+                        self._a = threading.Lock()
+                        self._b = threading.Lock()
+
+                    def run(self):
+                        with self._a:
+                            with self._b:
+                                pass
+                return Pair
+
+            def second():
+                class Pair:
+                    def __init__(self):
+                        self._a = threading.Lock()
+                        self._b = threading.Lock()
+
+                    def run(self):
+                        with self._b:
+                            with self._a:
+                                pass
+                return Pair
+            """
+        )
+        graph = result.graph
+        assert len(graph.nodes) == 4
+        assert {(e.src.label, e.dst.label) for e in graph.edges} == {
+            ("Pair@<string>:5._a", "Pair@<string>:5._b"),
+            ("Pair._b", "Pair._a"),
+        }
+        assert graph.cycles() == [] and result.findings == []
+
     def test_dot_export_mentions_cycle_edges(self):
         result = analyze(self.BAD_NESTED)
         dot = result.graph.to_dot()
