@@ -4,11 +4,12 @@ Two claims about the ``repro.online`` closed loop, written to
 ``BENCH_online.json``:
 
 1. **Stationary fidelity** — on a fixed weight vector, the online EM
-   recursion (decayed sufficient statistics,
-   :func:`repro.online.em.online_em_step`) converges to the *same*
-   mixture as batch EM (:func:`repro.core.em.em_step`): final ``pi``
-   agree within 1e-3 absolute and ``lambda`` within 1e-3 relative,
-   including the collapse to the same effective component count.
+   recursion (decayed sufficient statistics, the one decayed M-step of
+   :class:`repro.online.em.DecayedGMRegularizer`, run through
+   ``upt_gm_param``) converges to the *same* mixture as batch EM
+   (:func:`repro.core.em.em_step`): final ``pi`` agree within 1e-3
+   absolute and ``lambda`` within 1e-3 relative, including the collapse
+   to the same effective component count.
 
 2. **Drift recovery** — a model batch-trained before a label-flipping
    distribution shift serves a drifting stream through the full loop
@@ -37,13 +38,11 @@ from repro.online import (
     ContinuousLoop,
     DecayedGMRegularizer,
     DriftStream,
-    OnlineEMState,
     OnlineTrainer,
     PromotionPolicy,
     PublishTriggers,
     RegistryPublisher,
     ShadowEvaluator,
-    online_em_step,
 )
 from repro.optim.trainer import Trainer
 from repro.rng import spawn
@@ -71,16 +70,9 @@ def run_stationary(quick: bool):
 
     # The decayed recursion is a damped iteration (step size 1 - rho);
     # 500 steps at rho=0.8 reaches the shared fixed point to ~1e-11.
-    online = OnlineEMState(mixture=reference.mixture)
+    online = DecayedGMRegularizer(n_dim, rho=0.8)
     for _ in range(500):
-        online = online_em_step(
-            online,
-            w,
-            alpha[: online.mixture.n_components],
-            a,
-            b,
-            rho=0.8,
-        )
+        online.upt_gm_param(w)
     mixture = online.mixture
     if mixture.n_components != batch.n_components:
         pi_diff = lam_rel = float("inf")

@@ -27,22 +27,42 @@ Run standalone (CI) or under pytest-benchmark like the other benches::
 
     PYTHONPATH=src python benchmarks/bench_serve_sharded.py --quick
     PYTHONPATH=src python -m pytest benchmarks/bench_serve_sharded.py
+
+Run as a script it uses one BLAS thread per process, as
+``bench_serve_throughput.py`` does; the forked shards inherit it.  On a
+2-CPU host, unpinned OpenBLAS pools in the shards and the parent made
+the 1-shard row read anywhere from 1.9k to 85k rows/s, which leaves the
+scaling gate judging noise.
 """
 
-import argparse
 import os
-import sys
-import time
 
-import numpy as np
+if __name__ == "__main__":
+    # Must be set before numpy is imported.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    os.environ["OMP_NUM_THREADS"] = "1"
 
-from repro.datasets.preprocessing import TabularEncoder
-from repro.datasets.synthetic import CategoricalSpec, TabularSchema, generate_dataset
-from repro.loadgen import LoadGenerator, TrafficMix, build_schedule
-from repro.nn import Network
-from repro.nn.layers import Dense, ReLU
-from repro.serve.sharding import ShardedModelServer
-from repro.telemetry import bench_filename, bench_payload, write_bench_json
+import argparse  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.datasets.preprocessing import TabularEncoder  # noqa: E402
+from repro.datasets.synthetic import (  # noqa: E402
+    CategoricalSpec,
+    TabularSchema,
+    generate_dataset,
+)
+from repro.loadgen import LoadGenerator, TrafficMix, build_schedule  # noqa: E402
+from repro.nn import Network  # noqa: E402
+from repro.nn.layers import Dense, ReLU  # noqa: E402
+from repro.serve.sharding import ShardedModelServer  # noqa: E402
+from repro.telemetry import (  # noqa: E402
+    bench_filename,
+    bench_payload,
+    write_bench_json,
+)
 
 WIDTHS = (256, 128)
 SCALING_FLOOR = 2.5

@@ -23,7 +23,7 @@ renormalizing, and expose a switch so the behaviour can be ablated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class RegularizerEMState:
     the batch trainer (``pi``/``lam`` and the refresh counters) or the
     online trainer (which additionally carries the exponentially decayed
     sufficient statistics ``resp_sum``/``weighted_sq`` of
-    :mod:`repro.online.em`).  All fields are plain arrays/ints so the
-    snapshot round-trips through JSON and ``.npz`` checkpoints.
+    :mod:`repro.online.em`).
     """
 
     pi: np.ndarray
@@ -72,45 +71,6 @@ class RegularizerEMState:
     mstep_count: int = 0
     resp_sum: Optional[np.ndarray] = None
     weighted_sq: Optional[np.ndarray] = None
-    em_updates: int = 0
-
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Plain-JSON form (arrays become lists, ``None`` stays)."""
-        return {
-            "pi": [float(v) for v in np.asarray(self.pi).reshape(-1)],
-            "lam": [float(v) for v in np.asarray(self.lam).reshape(-1)],
-            "estep_count": int(self.estep_count),
-            "mstep_count": int(self.mstep_count),
-            "resp_sum": (
-                None if self.resp_sum is None
-                else [float(v) for v in np.asarray(self.resp_sum).reshape(-1)]
-            ),
-            "weighted_sq": (
-                None if self.weighted_sq is None
-                else [
-                    float(v)
-                    for v in np.asarray(self.weighted_sq).reshape(-1)
-                ]
-            ),
-            "em_updates": int(self.em_updates),
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "RegularizerEMState":
-        """Inverse of :meth:`to_jsonable`."""
-        def _opt(key: str) -> Optional[np.ndarray]:
-            value = payload.get(key)
-            return None if value is None else np.asarray(value, dtype=np.float64)
-
-        return cls(
-            pi=np.asarray(payload["pi"], dtype=np.float64),
-            lam=np.asarray(payload["lam"], dtype=np.float64),
-            estep_count=int(payload.get("estep_count", 0)),
-            mstep_count=int(payload.get("mstep_count", 0)),
-            resp_sum=_opt("resp_sum"),
-            weighted_sq=_opt("weighted_sq"),
-            em_updates=int(payload.get("em_updates", 0)),
-        )
 
 
 def precisions_from_stats(

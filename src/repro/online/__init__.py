@@ -5,11 +5,13 @@ serving) covers one deployment; this package closes the loop the
 paper's GEMINI healthcare stack runs in production, where models are
 retrained as new data arrives:
 
-- :class:`~repro.online.em.DecayedGMRegularizer` /
-  :func:`~repro.online.em.online_em_step` — the GM prior's M-step on
-  exponentially decayed sufficient statistics.
+- :class:`~repro.online.em.DecayedGMRegularizer` — the GM prior's
+  M-step on exponentially decayed sufficient statistics (the only
+  decayed M-step).
 - :class:`~repro.online.trainer.OnlineTrainer` — ``partial_fit``
-  streaming training without an epoch horizon.
+  streaming training without an epoch horizon; each call runs the same
+  Algorithm-2 step, :class:`~repro.optim.trainer.Step`, that the batch
+  trainer's epochs run.
 - :class:`~repro.online.publisher.RegistryPublisher` — cadence-driven
   candidate snapshots into the model registry.
 - :class:`~repro.online.shadow.ShadowEvaluator` — mirrors sampled live
@@ -22,7 +24,7 @@ retrained as new data arrives:
   with a controllable distribution shift, for benchmarks and smokes.
 """
 
-from .em import DecayedGMRegularizer, OnlineEMState, online_em_step
+from .em import DecayedGMRegularizer
 from .loop import ContinuousLoop
 from .promotion import PromotionDecision, PromotionPolicy
 from .publisher import PublishTriggers, RegistryPublisher
@@ -31,8 +33,6 @@ from .stream import DriftStream
 from .trainer import OnlineTrainer, StepResult
 
 __all__ = [
-    "OnlineEMState",
-    "online_em_step",
     "DecayedGMRegularizer",
     "OnlineTrainer",
     "StepResult",

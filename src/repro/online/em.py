@@ -32,34 +32,16 @@ intervals take over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..core.em import RegularizerEMState, em_step_from_stats
-from ..core.fusion import stacked_estep
-from ..core.gaussian_mixture import GaussianMixture
 from ..core.gm_regularizer import GMRegularizer
 from ..core.hyperparams import GMHyperParams
 from ..core.lazy import LazyUpdateSchedule
 
-__all__ = ["OnlineEMState", "online_em_step", "DecayedGMRegularizer"]
-
-
-@dataclass(frozen=True)
-class OnlineEMState:
-    """One step of the decayed-statistics recursion, as a value.
-
-    ``resp_sum``/``weighted_sq`` are the running ``S0``/``S1`` aligned
-    with ``mixture``'s components (``None`` before the first update).
-    ``updates`` counts completed :func:`online_em_step` applications.
-    """
-
-    mixture: GaussianMixture
-    resp_sum: Optional[np.ndarray] = None
-    weighted_sq: Optional[np.ndarray] = None
-    updates: int = 0
+__all__ = ["DecayedGMRegularizer"]
 
 
 def _blend(
@@ -71,48 +53,6 @@ def _blend(
     return rho * running + (1.0 - rho) * fresh
 
 
-def online_em_step(
-    state: OnlineEMState,
-    w: np.ndarray,
-    alpha: np.ndarray,
-    a: float,
-    b: float,
-    rho: float = 0.95,
-    prune: bool = True,
-    merge: bool = True,
-    merge_rel_tol: float = 0.02,
-) -> OnlineEMState:
-    """One online E+M step on the GM parameters for the current ``w``.
-
-    The E-step is the training kernel
-    (:func:`~repro.core.fusion.stacked_estep`); the M-step is the batch
-    :func:`~repro.core.em.em_step_from_stats`, run on the decayed
-    running statistics instead of this step's raw sums.  It returns the
-    statistics pruned and merged along with the mixture, so the summary
-    stays aligned with the components as K collapses.
-    """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0, 1), got {rho}")
-    fresh = stacked_estep([state.mixture], [w])[0]
-    mixture, resp_sum, weighted_sq = em_step_from_stats(
-        state.mixture,
-        _blend(state.resp_sum, fresh.resp_sum, rho),
-        _blend(state.weighted_sq, fresh.weighted_sq, rho),
-        alpha=alpha,
-        a=a,
-        b=b,
-        prune=prune,
-        merge=merge,
-        merge_rel_tol=merge_rel_tol,
-    )
-    return OnlineEMState(
-        mixture=mixture,
-        resp_sum=resp_sum,
-        weighted_sq=weighted_sq,
-        updates=state.updates + 1,
-    )
-
-
 class DecayedGMRegularizer(GMRegularizer):
     """:class:`GMRegularizer` whose M-step runs on decayed statistics.
 
@@ -120,10 +60,11 @@ class DecayedGMRegularizer(GMRegularizer):
     built for streams:
 
     - The M-step blends each E-step's ``S0``/``S1`` into a running
-      summary, exactly as :func:`online_em_step` does: it carries memory
-      of past weight snapshots with exponential decay ``rho``, so one
-      noisy mini-batch cannot yank the prior around, yet the prior still
-      tracks drift.
+      summary: it carries memory of past weight snapshots with
+      exponential decay ``rho``, so one noisy mini-batch cannot yank the
+      prior around, yet the prior still tracks drift.  It is the only
+      decayed M-step; :meth:`upt_gm_param` runs one step of it on any
+      ``w`` outside a training loop.
     - Warm-up gating reuses the lazy schedule: streaming steps below
       ``warmup_steps`` are mapped to the schedule's eager-epoch regime
       (refresh every step); afterwards the lazy ``Im``/``Ig`` intervals
@@ -167,7 +108,6 @@ class DecayedGMRegularizer(GMRegularizer):
         self.warmup_steps = int(warmup_steps)
         self._resp_sum: Optional[np.ndarray] = None
         self._weighted_sq: Optional[np.ndarray] = None
-        self._em_updates = 0
 
     # ------------------------------------------------------------------
     # Warm-up gating through the lazy schedule
@@ -198,7 +138,6 @@ class DecayedGMRegularizer(GMRegularizer):
             prune=self.prune_components,
             merge=self.merge_components,
         )
-        self._em_updates += 1
         self._n_mstep += 1
 
     # ------------------------------------------------------------------
@@ -215,7 +154,6 @@ class DecayedGMRegularizer(GMRegularizer):
             weighted_sq=(
                 None if self._weighted_sq is None else self._weighted_sq.copy()
             ),
-            em_updates=self._em_updates,
         )
 
     def load_em_state(self, state: RegularizerEMState) -> None:
@@ -231,7 +169,6 @@ class DecayedGMRegularizer(GMRegularizer):
             if state.weighted_sq is None
             else np.asarray(state.weighted_sq, dtype=np.float64).reshape(-1)
         )
-        self._em_updates = int(state.em_updates)
 
     def __repr__(self) -> str:
         return (

@@ -3,11 +3,12 @@
 The batch :class:`~repro.optim.trainer.Trainer` owns the full dataset
 and walks it in epochs; the GEMINI-style continuous loop never sees the
 full dataset — mini-batches arrive forever.  :class:`OnlineTrainer`
-keeps the Algorithm 2 per-iteration ordering (E-step → gradient →
-M-step → SGD, each under its ``phase/<name>`` timer) but replaces the
-epoch loop with a single :meth:`partial_fit` call per arriving batch,
-pairing naturally with :class:`~repro.online.em.DecayedGMRegularizer`
-whose decayed statistics stand in for the vanished full-data view.
+calls the same Algorithm-2 iteration, :class:`~repro.optim.trainer.Step`
+(E-step → gradient → M-step → SGD, each under its ``phase/<name>``
+timer), but replaces the epoch loop with a single :meth:`partial_fit`
+call per arriving batch, pairing naturally with
+:class:`~repro.online.em.DecayedGMRegularizer` whose decayed statistics
+stand in for the vanished full-data view.
 
 The regularizer weight follows the same ``1/N`` normalization as the
 batch trainer (prior counted once against ``N`` likelihood terms);
@@ -15,9 +16,9 @@ online, ``N`` is either a declared reference dataset size
 (``n_reference``, e.g. the size of the batch-training corpus the model
 was seeded from) or the running count of streamed samples.
 
-Snapshot/restore goes through the shared
-:class:`~repro.optim.trainer.TrainerState` path — the same typed state
-the batch trainer produces — so a batch-trained model hands off to the
+Snapshot/restore goes through the step's
+:class:`~repro.optim.trainer.TrainerState` — the same typed state the
+batch trainer produces — so a batch-trained model hands off to the
 stream (and back) without touching private fields.
 """
 
@@ -25,20 +26,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..core.fusion import Workspace, stacked_prepare
 from ..optim.schedules import ConstantLR, LRSchedule
-from ..optim.sgd import SGD
-from ..optim.trainer import (
-    PHASES,
-    TrainableModel,
-    TrainerState,
-    capture_trainer_state,
-    restore_trainer_state,
-)
+from ..optim.trainer import Step, TrainableModel, TrainerState
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.trace import start_span
 
@@ -109,14 +102,10 @@ class OnlineTrainer:
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry(clock=clock)
         )
-        self._params = list(model.parameters())
-        self._optimizer = SGD(
-            [p.value for p in self._params],
-            lr=self.schedule.lr_at(0),
-            momentum=self.momentum,
+        # One step, and so one optimizer, for the stream's life.
+        self._step = Step(
+            model, self.metrics, self.schedule.lr_at(0), self.momentum
         )
-        self._em_workspace = Workspace()
-        self._iteration = 0
         self._samples_seen = 0
         self._loss_ewma: Optional[float] = None
 
@@ -124,7 +113,7 @@ class OnlineTrainer:
     @property
     def step_count(self) -> int:
         """Streaming steps completed so far."""
-        return self._iteration
+        return self._step.it
 
     @property
     def samples_seen(self) -> int:
@@ -144,7 +133,9 @@ class OnlineTrainer:
         schedule's warm-up window is expressed in steps (see
         :class:`~repro.online.em.DecayedGMRegularizer`), and the loss
         EWMA feeds the publisher's ``loss_delta`` trigger.  A 1-D ``x``
-        is one row and a scalar ``y`` one label.
+        is one row and a scalar ``y`` one label.  A NaN or infinite
+        batch loss raises :class:`~repro.optim.trainer.NonFiniteError`
+        before the M-step and SGD run.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y)
@@ -156,41 +147,16 @@ class OnlineTrainer:
             raise ValueError(
                 f"x and y disagree on sample count: {x.shape[0]} vs {y.shape[0]}"
             )
+        it = self._step.it
         with start_span(
             "online/partial_fit",
-            attributes={"step": self._iteration, "batch": int(x.shape[0])},
+            attributes={"step": it, "batch": int(x.shape[0])},
         ) as span:
             self._samples_seen += int(x.shape[0])
             n_effective = self.n_reference or self._samples_seen
-            reg_scale = 1.0 / float(max(n_effective, 1))
-            lr = self.schedule.lr_at(self._iteration)
-            self._optimizer.set_lr(lr)
-            timers = {
-                phase: self.metrics.timer(f"phase/{phase}") for phase in PHASES
-            }
-            it = self._iteration
-            # E-step (lazy, warm-up gated): refresh cached g_reg where due.
-            with timers["estep"]:
-                stacked_prepare(self._params, it, workspace=self._em_workspace)
-            # Data-misfit gradient plus scaled regularizer gradient.
-            with timers["grad"]:
-                loss, grads = self.model.loss_and_gradients(x, y)
-                for param, grad in zip(self._params, grads):
-                    if param.regularizer is not None:
-                        grad += reg_scale * param.regularizer.gradient(
-                            param.value
-                        )
-            # M-step (lazy): decayed-statistics update of pi/lambda.
-            with timers["mstep"]:
-                for param in self._params:
-                    if param.regularizer is not None:
-                        param.regularizer.update(param.value, it)
-            # SGD apply.
-            with timers["sgd"]:
-                self._optimizer.step(grads)
-            self._iteration = it + 1
-
-            loss = float(loss)
+            lr = self.schedule.lr_at(it)
+            self._step.optimizer.set_lr(lr)
+            loss = float(self._step(x, y, 1.0 / float(max(n_effective, 1))))
             if self._loss_ewma is None:
                 self._loss_ewma = loss
             else:
@@ -212,8 +178,6 @@ class OnlineTrainer:
             )
 
     # ------------------------------------------------------------------
-    # Shared snapshot/restore path (satellite: no private-field reaching)
-    # ------------------------------------------------------------------
     def state(self) -> TrainerState:
         """Typed snapshot: iteration + per-regularizer EM state.
 
@@ -221,15 +185,14 @@ class OnlineTrainer:
         including the decayed statistics when the regularizers are
         :class:`~repro.online.em.DecayedGMRegularizer`.
         """
-        return capture_trainer_state(self.model, self._iteration)
+        return self._step.state()
 
     def load_state(self, state: TrainerState) -> None:
         """Resume the stream from a :class:`TrainerState` snapshot."""
-        restore_trainer_state(self.model, state)
-        self._iteration = int(state.iteration)
+        self._step.load_state(state)
 
     def __repr__(self) -> str:
         return (
-            f"OnlineTrainer(step={self._iteration}, "
+            f"OnlineTrainer(step={self._step.it}, "
             f"samples_seen={self._samples_seen})"
         )

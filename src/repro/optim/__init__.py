@@ -2,7 +2,14 @@
 
 from .schedules import ConstantLR, ExponentialDecayLR, LRSchedule, StepDecayLR
 from .sgd import SGD
-from .trainer import EpochRecord, Parameter, TrainableModel, Trainer, TrainingHistory
+from .trainer import (
+    EpochRecord,
+    NonFiniteError,
+    Parameter,
+    TrainableModel,
+    Trainer,
+    TrainingHistory,
+)
 
 __all__ = [
     "SGD",
@@ -15,4 +22,5 @@ __all__ = [
     "Trainer",
     "TrainingHistory",
     "EpochRecord",
+    "NonFiniteError",
 ]

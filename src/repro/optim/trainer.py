@@ -21,8 +21,13 @@ ordering is followed:
    (``Regularizer.update``).
 4. *SGD step*: the optimizer applies the combined gradient.
 
-The same loop trains logistic regression and the deep networks; the
-model only has to satisfy :class:`TrainableModel`.
+One :class:`Step` object runs this iteration; two loops call it.
+:meth:`Trainer.fit` walks a fixed dataset in epochs, and
+:meth:`~repro.online.trainer.OnlineTrainer.partial_fit` takes one
+streamed batch per call.  The same step trains logistic regression and
+the deep networks; the model only has to satisfy :class:`TrainableModel`.
+A batch loss that is NaN or infinite stops the step with a
+:class:`NonFiniteError` before the M-step and SGD touch any parameter.
 
 **Observability.**  Each of the four phases above runs inside a named
 phase timer of the trainer's :class:`~repro.telemetry.metrics.MetricsRegistry`
@@ -39,9 +44,11 @@ tests deterministic.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +63,7 @@ from ..telemetry.events import (
     EMStepInfo,
     RunContext,
 )
-from ..telemetry.metrics import MetricsRegistry, PhaseTimer
+from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.runtime import default_callbacks
 from ..telemetry.trace import start_span
 from .schedules import ConstantLR, LRSchedule
@@ -68,8 +75,8 @@ __all__ = [
     "EpochRecord",
     "TrainingHistory",
     "TrainerState",
-    "capture_trainer_state",
-    "restore_trainer_state",
+    "NonFiniteError",
+    "Step",
     "Trainer",
 ]
 
@@ -119,7 +126,12 @@ class EpochRecord:
 
 @dataclass
 class TrainingHistory:
-    """Sequence of :class:`EpochRecord` plus convergence metadata."""
+    """Sequence of :class:`EpochRecord` plus convergence metadata.
+
+    ``converged_epoch`` is the epoch at which a callback's stop request
+    (e.g. :class:`~repro.telemetry.callbacks.EarlyStopping`) ended the
+    fit, or ``None`` when it ran every epoch.
+    """
 
     records: List[EpochRecord] = field(default_factory=list)
     converged_epoch: Optional[int] = None
@@ -152,76 +164,173 @@ class TrainerState:
     Holds the global iteration counter plus, per regularized parameter,
     a :class:`~repro.core.em.RegularizerEMState` (``pi``/``lambda``, the
     refresh counters and — for online trainers — the decayed sufficient
-    statistics).  Both :class:`Trainer` and
-    :class:`~repro.online.trainer.OnlineTrainer` produce and consume
-    this one type through :func:`capture_trainer_state` /
-    :func:`restore_trainer_state`, so checkpoint restores and
-    batch-to-online handoffs share a single code path instead of
-    reaching into private regularizer fields.
+    statistics).  :class:`Step` produces and consumes it for both
+    :class:`Trainer` and :class:`~repro.online.trainer.OnlineTrainer`,
+    so checkpoint restores and batch-to-online handoffs share one code
+    path instead of reaching into private regularizer fields.
     """
 
     iteration: int
     em: Dict[str, RegularizerEMState]
 
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Plain-JSON form for checkpoint sidecar files."""
-        return {
-            "iteration": int(self.iteration),
-            "em": {
-                name: state.to_jsonable() for name, state in self.em.items()
-            },
-        }
 
-    @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "TrainerState":
-        """Inverse of :meth:`to_jsonable`."""
-        return cls(
-            iteration=int(payload["iteration"]),
-            em={
-                name: RegularizerEMState.from_jsonable(state)
-                for name, state in payload.get("em", {}).items()
-            },
-        )
+class NonFiniteError(ValueError):
+    """A training step produced a NaN or infinite batch loss.
 
-
-def capture_trainer_state(model: TrainableModel, iteration: int) -> TrainerState:
-    """Snapshot every regularizer's EM state into a :class:`TrainerState`.
-
-    Parameters without a regularizer (or with one that does not expose
-    ``em_state()``, e.g. the fixed-form baselines) are skipped — there
-    is nothing EM-resumable about them.
+    Raised by :class:`Step` before the M-step and SGD run, so no
+    parameter and no ``pi``/``lambda`` is written from the bad batch.
+    The message names the iteration and the phase.
     """
-    em: Dict[str, RegularizerEMState] = {}
-    for param in model.parameters():
-        snapshot = getattr(param.regularizer, "em_state", None)
-        if callable(snapshot):
-            em[param.name] = snapshot()
-    return TrainerState(iteration=int(iteration), em=em)
-
-
-def restore_trainer_state(model: TrainableModel, state: TrainerState) -> None:
-    """Load a :class:`TrainerState` back into the model's regularizers.
-
-    Parameter names present in the snapshot but absent from the model
-    (or vice versa) are ignored, mirroring the lenient ``strict=False``
-    checkpoint semantics: restoring a partial snapshot resumes what it
-    can.
-    """
-    for param in model.parameters():
-        snapshot = state.em.get(param.name)
-        if snapshot is None:
-            continue
-        restore = getattr(param.regularizer, "load_em_state", None)
-        if callable(restore):
-            restore(snapshot)
 
 
 #: The Algorithm 2 phases, timed separately as ``phase/<name>``.
 PHASES = ("estep", "grad", "mstep", "sgd")
 
 
+class Step:
+    """One Algorithm-2 iteration; :class:`Trainer` and
+    :class:`~repro.online.trainer.OnlineTrainer` both call it.
+
+    The step owns what the iteration touches: the parameter list, the
+    SGD optimizer, the E-step :class:`~repro.core.fusion.Workspace`, the
+    global iteration counter :attr:`it` and the four ``phase/<name>``
+    timers of ``metrics``.  It reports each parameter's EM activity and
+    takes and restores the :class:`TrainerState`.  The loops own
+    everything around it: epochs and shuffling in :meth:`Trainer.fit`,
+    the stream and its loss EWMA in
+    :meth:`~repro.online.trainer.OnlineTrainer.partial_fit`.
+
+    Parameters
+    ----------
+    model:
+        The :class:`TrainableModel` whose parameters are trained.
+    metrics:
+        Registry holding the phase timers (looked up once: a registry's
+        instruments survive :meth:`~repro.telemetry.metrics.MetricsRegistry.reset`).
+    lr, momentum:
+        The optimizer's initial learning rate and its momentum; loops
+        change the rate through ``optimizer.set_lr``.
+    iteration:
+        Initial value of :attr:`it`, which drives the lazy schedule.
+    """
+
+    def __init__(
+        self,
+        model: TrainableModel,
+        metrics: MetricsRegistry,
+        lr: float,
+        momentum: float,
+        iteration: int = 0,
+    ) -> None:
+        self.model = model
+        self.params = list(model.parameters())
+        self.optimizer = SGD(
+            [p.value for p in self.params], lr=lr, momentum=momentum
+        )
+        self.workspace = Workspace()
+        self.it = int(iteration)
+        self.timers = {phase: metrics.timer(f"phase/{phase}") for phase in PHASES}
+
+    def __call__(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        reg_scale: float,
+        epoch: int = 0,
+        on_em_step: Optional[Callable[[EMStepInfo], None]] = None,
+    ) -> float:
+        """Train on one mini-batch; returns its data-misfit loss.
+
+        ``reg_scale`` weights each ``g_reg`` against the model's mean
+        per-sample loss (``1/N``, see the module docstring).  With
+        ``on_em_step``, every parameter whose regularizer ran an E- or
+        M-step in this iteration is reported, tagged with ``epoch``.
+        Raises :class:`NonFiniteError` when the batch loss is NaN or
+        infinite; :attr:`it` then stays where it was.
+        """
+        it, params, timers = self.it, self.params, self.timers
+        if on_em_step is not None:
+            counts_before = [_em_counts(p.regularizer) for p in params]
+        # E-step (lines 4-7): refresh cached g_reg where due, every due
+        # per-layer GM in one kernel call.
+        with timers["estep"]:
+            stacked_prepare(params, it, workspace=self.workspace)
+        # Data-misfit gradient g_ll plus regularizer gradient (Eq. (10)).
+        with timers["grad"]:
+            loss, grads = self.model.loss_and_gradients(x, y)
+            for param, grad in zip(params, grads):
+                if param.regularizer is not None:
+                    grad += reg_scale * param.regularizer.gradient(param.value)
+        if not math.isfinite(loss):
+            raise NonFiniteError(
+                f"non-finite batch loss {loss} at iteration {it} "
+                "in phase 'grad'"
+            )
+        # M-step (lines 9-11): update pi/lambda where due.
+        with timers["mstep"]:
+            for param in params:
+                if param.regularizer is not None:
+                    param.regularizer.update(param.value, it)
+        # SGD step (line 12).
+        with timers["sgd"]:
+            self.optimizer.step(grads)
+        if on_em_step is not None:
+            for param, (e0, m0) in zip(params, counts_before):
+                reg = param.regularizer
+                if reg is None:
+                    continue
+                e1, m1 = _em_counts(reg)
+                if e1 > e0 or m1 > m0:
+                    on_em_step(
+                        EMStepInfo(
+                            epoch=epoch,
+                            iteration=it,
+                            param_name=param.name,
+                            did_estep=e1 > e0,
+                            did_mstep=m1 > m0,
+                            state=reg.telemetry_state(),
+                        )
+                    )
+        self.it = it + 1
+        return loss
+
+    def state(self) -> TrainerState:
+        """Snapshot :attr:`it` and every regularizer's EM state.
+
+        Parameters without a regularizer, or with one that has no
+        ``em_state()`` (the fixed-form baselines), are skipped: there is
+        nothing EM-resumable about them.
+        """
+        em: Dict[str, RegularizerEMState] = {}
+        for param in self.params:
+            snapshot = getattr(param.regularizer, "em_state", None)
+            if callable(snapshot):
+                em[param.name] = snapshot()
+        return TrainerState(iteration=self.it, em=em)
+
+    def load_state(self, state: TrainerState) -> None:
+        """Load a :class:`TrainerState` into the regularizers and :attr:`it`.
+
+        Parameter names present in the snapshot but absent from the model
+        (or vice versa) are ignored, mirroring the lenient ``strict=False``
+        checkpoint semantics: restoring a partial snapshot resumes what it
+        can.
+        """
+        for param in self.params:
+            snapshot = state.em.get(param.name)
+            restore = getattr(param.regularizer, "load_em_state", None)
+            if snapshot is not None and callable(restore):
+                restore(snapshot)
+        self.it = int(state.iteration)
+
+
+def _em_counts(reg: Optional[Regularizer]) -> Tuple[int, int]:
+    """A regularizer's (E-step, M-step) refresh counts; zeros if it has none."""
+    return getattr(reg, "estep_count", 0), getattr(reg, "mstep_count", 0)
+
+
 class Trainer:
-    """Mini-batch SGD + interleaved EM (Algorithms 1 and 2).
+    """Mini-batch SGD + interleaved EM (Algorithms 1 and 2), in epochs.
 
     Parameters
     ----------
@@ -236,13 +345,6 @@ class Trainer:
         ``B`` of Algorithm 2.
     shuffle:
         Whether to reshuffle the training set every epoch.
-    convergence_tol:
-        When set, training stops early once the relative improvement of
-        the epoch loss falls below this tolerance for ``patience``
-        consecutive epochs ("while not converged" in Algorithms 1/2).
-    patience:
-        Consecutive low-improvement epochs required to declare
-        convergence.
     clock:
         Monotonic time source used for every duration this trainer
         records (epoch records and phase timers).  Injectable so tests
@@ -262,27 +364,21 @@ class Trainer:
         momentum: float = 0.0,
         batch_size: int = 32,
         shuffle: bool = True,
-        convergence_tol: Optional[float] = None,
-        patience: int = 3,
         clock: Callable[[], float] = time.perf_counter,
         metrics: Optional[MetricsRegistry] = None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if patience < 1:
-            raise ValueError(f"patience must be >= 1, got {patience}")
         self.model = model
         self.schedule = lr if isinstance(lr, LRSchedule) else ConstantLR(float(lr))
         self.momentum = float(momentum)
         self.batch_size = int(batch_size)
         self.shuffle = bool(shuffle)
-        self.convergence_tol = convergence_tol
-        self.patience = int(patience)
         self.clock = clock
         self.metrics = metrics if metrics is not None else MetricsRegistry(clock=clock)
-        self._em_workspace = Workspace()
-        self._iteration = 0
-        self._reg_scale = 1.0
+        self._step = Step(
+            model, self.metrics, self.schedule.lr_at(0), self.momentum
+        )
 
     # ------------------------------------------------------------------
     def fit(
@@ -296,7 +392,10 @@ class Trainer:
         augment=None,
         callbacks: Optional[Sequence[Callback]] = None,
     ) -> TrainingHistory:
-        """Train for up to ``epochs`` epochs (early-stops on convergence).
+        """Train for up to ``epochs`` epochs.
+
+        Each call starts a fresh optimizer (momentum restarts) while the
+        iteration counter, and with it the lazy schedule, carries over.
 
         Parameters
         ----------
@@ -317,8 +416,10 @@ class Trainer:
             :func:`repro.telemetry.runtime.use_callbacks` are appended
             automatically.  Callbacks never alter the computation; a
             callback may request an early stop via
-            :meth:`~repro.telemetry.events.RunContext.request_stop`,
-            honoured at the end of the epoch.
+            :meth:`~repro.telemetry.events.RunContext.request_stop`
+            (e.g. :class:`~repro.telemetry.callbacks.EarlyStopping`),
+            honoured at the end of the epoch, which the history then
+            records as ``converged_epoch``.
         """
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -328,11 +429,12 @@ class Trainer:
         rng = rng if rng is not None else default_generator()
         # Prior counted once vs. likelihood summed over N samples: with a
         # mean per-sample loss the regularizer enters at weight 1/N.
-        self._reg_scale = 1.0 / float(n)
-        params = list(self.model.parameters())
-        optimizer = SGD(
-            [p.value for p in params], lr=self.schedule.lr_at(0), momentum=self.momentum
+        reg_scale = 1.0 / float(n)
+        step = self._step = Step(
+            self.model, self.metrics, self.schedule.lr_at(0), self.momentum,
+            self._step.it,
         )
+        params, timers = step.params, step.timers
 
         self.metrics.reset()
         cbs = CallbackList(list(callbacks or ()) + list(default_callbacks()))
@@ -344,16 +446,16 @@ class Trainer:
             batch_size=self.batch_size,
             max_epochs=epochs,
         )
-        emit_em = cbs.wants_em_step
+        on_em_step = (
+            functools.partial(cbs.on_em_step, ctx=ctx)
+            if cbs.wants_em_step else None
+        )
         emit_batch = cbs.wants_batch_end
-        timers = {phase: self.metrics.timer(f"phase/{phase}") for phase in PHASES}
         batch_counter = self.metrics.counter("train/batches")
         epoch_counter = self.metrics.counter("train/epochs")
         loss_hist = self.metrics.histogram("train/epoch_loss")
 
         history = TrainingHistory()
-        previous_loss: Optional[float] = None
-        stall = 0
         start = self.clock()
 
         cbs.on_train_start(ctx)
@@ -372,8 +474,8 @@ class Trainer:
                     phase_base = {
                         phase: timers[phase].total_seconds for phase in PHASES
                     }
-                    optimizer.set_lr(self.schedule.lr_at(epoch))
-                    self.metrics.gauge("train/lr").set(optimizer.lr)
+                    step.optimizer.set_lr(self.schedule.lr_at(epoch))
+                    self.metrics.gauge("train/lr").set(step.optimizer.lr)
                     cbs.on_epoch_start(epoch, ctx)
                     epoch_start = self.clock()
                     order = rng.permutation(n) if self.shuffle else np.arange(n)
@@ -384,11 +486,8 @@ class Trainer:
                         xb, yb = x[batch], y[batch]
                         if augment is not None:
                             xb = augment(xb, rng)
-                        iteration = self._iteration
-                        loss = self._train_step(
-                            params, optimizer, xb, yb, timers,
-                            cbs if emit_em else None, ctx, epoch,
-                        )
+                        iteration = step.it
+                        loss = step(xb, yb, reg_scale, epoch, on_em_step)
                         epoch_loss += loss
                         batch_counter.inc()
                         if emit_batch:
@@ -437,17 +536,8 @@ class Trainer:
                             )
                     cbs.on_epoch_end(record, ctx)
 
-                if self.convergence_tol is not None and previous_loss is not None:
-                    scale = max(abs(previous_loss), 1e-12)
-                    if (previous_loss - epoch_loss) / scale < self.convergence_tol:
-                        stall += 1
-                    else:
-                        stall = 0
-                    if stall >= self.patience:
-                        history.converged_epoch = epoch
-                        break
-                previous_loss = epoch_loss
                 if ctx.stop_requested:
+                    history.converged_epoch = epoch
                     break
         cbs.on_train_end(history, ctx)
         return history
@@ -459,7 +549,7 @@ class Trainer:
         Taken after :meth:`fit` this is the final EM state — the handoff
         an :class:`~repro.online.trainer.OnlineTrainer` resumes from.
         """
-        return capture_trainer_state(self.model, self._iteration)
+        return self._step.state()
 
     def load_state(self, state: TrainerState) -> None:
         """Resume from a :class:`TrainerState` snapshot.
@@ -468,8 +558,7 @@ class Trainer:
         iteration counter, so a subsequent :meth:`fit` continues the
         lazy-update schedule instead of restarting it.
         """
-        restore_trainer_state(self.model, state)
-        self._iteration = int(state.iteration)
+        self._step.load_state(state)
 
     # ------------------------------------------------------------------
     def _record_em_totals(self, params: List[Parameter]) -> None:
@@ -497,67 +586,3 @@ class Trainer:
             self.metrics.gauge("em/estep_refreshes").set(esteps)
             self.metrics.gauge("em/mstep_refreshes").set(msteps)
             self.metrics.gauge("em/density_evals").set(densities)
-
-    # ------------------------------------------------------------------
-    def _train_step(
-        self,
-        params: List[Parameter],
-        optimizer: SGD,
-        xb: np.ndarray,
-        yb: np.ndarray,
-        timers: dict[str, PhaseTimer],
-        em_observers: Optional[CallbackList],
-        ctx: RunContext,
-        epoch: int,
-    ) -> float:
-        """One Algorithm-2 iteration; returns the batch data-misfit loss."""
-        it = self._iteration
-        if em_observers is not None:
-            counts_before = [
-                (
-                    getattr(p.regularizer, "estep_count", 0),
-                    getattr(p.regularizer, "mstep_count", 0),
-                )
-                if p.regularizer is not None
-                else (0, 0)
-                for p in params
-            ]
-        # E-step (lines 4-7): refresh cached g_reg where due, every due
-        # per-layer GM in one kernel call.
-        with timers["estep"]:
-            stacked_prepare(params, it, workspace=self._em_workspace)
-        # Data-misfit gradient g_ll plus regularizer gradient (Eq. (10)).
-        with timers["grad"]:
-            loss, grads = self.model.loss_and_gradients(xb, yb)
-            for param, grad in zip(params, grads):
-                if param.regularizer is not None:
-                    grad += self._reg_scale * param.regularizer.gradient(param.value)
-        # M-step (lines 9-11): update pi/lambda where due.
-        with timers["mstep"]:
-            for param in params:
-                if param.regularizer is not None:
-                    param.regularizer.update(param.value, it)
-        # SGD step (line 12).
-        with timers["sgd"]:
-            optimizer.step(grads)
-        if em_observers is not None:
-            for param, (e0, m0) in zip(params, counts_before):
-                reg = param.regularizer
-                if reg is None:
-                    continue
-                did_estep = getattr(reg, "estep_count", 0) > e0
-                did_mstep = getattr(reg, "mstep_count", 0) > m0
-                if did_estep or did_mstep:
-                    em_observers.on_em_step(
-                        EMStepInfo(
-                            epoch=epoch,
-                            iteration=it,
-                            param_name=param.name,
-                            did_estep=did_estep,
-                            did_mstep=did_mstep,
-                            state=reg.telemetry_state(),
-                        ),
-                        ctx,
-                    )
-        self._iteration = it + 1
-        return loss

@@ -311,6 +311,9 @@ class MicroBatcher:
                     self._queue.remove(request)
                     self._queued_rows -= len(request)
                     request.state = _CANCELLED
+                    # A waiter whose block the removal moved into the
+                    # head batch may lead it now.
+                    self._cond.notify_all()
                     return False
                 if not self._may_lead_locked() or (
                     end is not None

@@ -8,7 +8,7 @@ from repro.core.gaussian_mixture import GaussianMixture
 from repro.core.gm_regularizer import GMRegularizer
 from repro.core.hyperparams import GMHyperParams
 from repro.core.lazy import LazyUpdateSchedule
-from repro.online import DecayedGMRegularizer, OnlineEMState, online_em_step
+from repro.online import DecayedGMRegularizer
 
 
 def fixed_weights(n=80, seed=7):
@@ -20,6 +20,8 @@ def hyper(reg):
 
 
 class TestOnlineEMStep:
+    """One decayed M-step at a time: ``DecayedGMRegularizer.upt_gm_param``."""
+
     def test_stationary_fixed_point_matches_batch_em(self):
         """Same fixed point as batch EM on a stationary weight vector."""
         w = fixed_weights()
@@ -32,102 +34,66 @@ class TestOnlineEMStep:
                 batch, w, h["alpha"][: batch.n_components], h["a"], h["b"]
             )
 
-        state = OnlineEMState(mixture=reg.mixture)
+        online = DecayedGMRegularizer(w.size, rho=0.8)
         for _ in range(500):
-            state = online_em_step(
-                state,
-                w,
-                h["alpha"][: state.mixture.n_components],
-                h["a"],
-                h["b"],
-                rho=0.8,
-            )
+            online.upt_gm_param(w)
 
-        assert state.mixture.n_components == batch.n_components
-        np.testing.assert_allclose(state.mixture.pi, batch.pi, atol=1e-3)
+        assert online.mixture.n_components == batch.n_components
+        np.testing.assert_allclose(online.mixture.pi, batch.pi, atol=1e-3)
         np.testing.assert_allclose(
-            state.mixture.lam, batch.lam, rtol=1e-3
+            online.mixture.lam, batch.lam, rtol=1e-3
         )
 
     def test_first_update_seeds_statistics(self):
         """The first observation becomes the summary (no zero-decay bias)."""
         w = fixed_weights()
-        reg = GMRegularizer(w.size)
-        h = hyper(reg)
-        mixture = reg.mixture
-        resp = mixture.responsibilities(w)
+        reg = DecayedGMRegularizer(
+            w.size, rho=0.9, prune_components=False, merge_components=False
+        )
+        resp = reg.mixture.responsibilities(w)
         expected_s0 = resp.sum(axis=0)
         expected_s1 = resp.T @ (w * w)
 
-        state = online_em_step(
-            OnlineEMState(mixture=mixture),
-            w,
-            h["alpha"][: mixture.n_components],
-            h["a"],
-            h["b"],
-            rho=0.9,
-            prune=False,
-            merge=False,
-        )
+        reg.upt_gm_param(w)
+        state = reg.em_state()
         np.testing.assert_allclose(state.resp_sum, expected_s0)
         np.testing.assert_allclose(state.weighted_sq, expected_s1)
-        assert state.updates == 1
+        assert state.mstep_count == 1
 
     def test_second_update_blends_with_rho(self):
         w = fixed_weights()
-        reg = GMRegularizer(w.size)
-        h = hyper(reg)
-        kwargs = dict(
-            alpha=h["alpha"][: reg.mixture.n_components],
-            a=h["a"],
-            b=h["b"],
-            rho=0.5,
-            prune=False,
-            merge=False,
+        reg = DecayedGMRegularizer(
+            w.size, rho=0.5, prune_components=False, merge_components=False
         )
-        s1 = online_em_step(OnlineEMState(mixture=reg.mixture), w, **kwargs)
-        resp = s1.mixture.responsibilities(w)
-        fresh = resp.sum(axis=0)
-        s2 = online_em_step(s1, w, **kwargs)
+        reg.upt_gm_param(w)
+        s1 = reg.em_state()
+        fresh = reg.mixture.responsibilities(w).sum(axis=0)
+        reg.upt_gm_param(w)
+        s2 = reg.em_state()
         np.testing.assert_allclose(
             s2.resp_sum, 0.5 * s1.resp_sum + 0.5 * fresh
         )
-        assert s2.updates == 2
+        assert s2.mstep_count == 2
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, -0.1, 1.5])
     def test_rho_out_of_range_rejected(self, rho):
-        reg = GMRegularizer(8)
         with pytest.raises(ValueError, match="rho"):
-            online_em_step(
-                OnlineEMState(mixture=reg.mixture),
-                fixed_weights(8),
-                reg._alpha,
-                reg._a,
-                reg._b,
-                rho=rho,
-            )
+            DecayedGMRegularizer(8, rho=rho)
 
     def test_statistics_stay_aligned_while_k_collapses(self):
         """Stats rows track the mixture through pruning and merging."""
         w = fixed_weights()
-        reg = GMRegularizer(w.size)
-        h = hyper(reg)
-        state = OnlineEMState(mixture=reg.mixture)
+        reg = DecayedGMRegularizer(w.size, rho=0.8)
+        k0 = reg.mixture.n_components
         for _ in range(300):
-            state = online_em_step(
-                state,
-                w,
-                h["alpha"][: state.mixture.n_components],
-                h["a"],
-                h["b"],
-                rho=0.8,
-            )
-            k = state.mixture.n_components
+            reg.upt_gm_param(w)
+            state = reg.em_state()
+            k = reg.mixture.n_components
             assert state.resp_sum.shape == (k,)
             assert state.weighted_sq.shape == (k,)
-            assert np.all(np.isfinite(state.mixture.pi))
-            assert np.all(np.isfinite(state.mixture.lam))
-        assert state.mixture.n_components < reg.mixture.n_components
+            assert np.all(np.isfinite(state.pi))
+            assert np.all(np.isfinite(state.lam))
+        assert reg.mixture.n_components < k0
 
 
 class TestMergeUnderOnlinePath:
@@ -135,19 +101,13 @@ class TestMergeUnderOnlinePath:
 
     def test_duplicate_precisions_merge_and_sum_statistics(self):
         w = fixed_weights(40)
-        mixture = GaussianMixture(
+        reg = DecayedGMRegularizer(w.size, rho=0.9)
+        reg.mixture = GaussianMixture(
             pi=np.array([0.5, 0.5]), lam=np.array([25.0, 25.0])
         )
-        reg = GMRegularizer(w.size)
-        state = online_em_step(
-            OnlineEMState(mixture=mixture),
-            w,
-            reg._alpha[:2],
-            reg._a,
-            reg._b,
-            rho=0.9,
-        )
-        assert state.mixture.n_components == 1
+        reg.upt_gm_param(w)
+        state = reg.em_state()
+        assert reg.mixture.n_components == 1
         # With identical precisions each row's responsibilities are
         # 0.5/0.5, so the merged (summed) mass is the full sample count.
         np.testing.assert_allclose(state.resp_sum, [float(w.size)])
@@ -184,30 +144,14 @@ class TestMergeUnderOnlinePath:
     def test_k_stable_once_collapsed(self):
         """After convergence, further online steps keep K fixed."""
         w = fixed_weights()
-        reg = GMRegularizer(w.size)
-        h = hyper(reg)
-        state = OnlineEMState(mixture=reg.mixture)
+        reg = DecayedGMRegularizer(w.size, rho=0.8)
         for _ in range(400):
-            state = online_em_step(
-                state,
-                w,
-                h["alpha"][: state.mixture.n_components],
-                h["a"],
-                h["b"],
-                rho=0.8,
-            )
-        k = state.mixture.n_components
+            reg.upt_gm_param(w)
+        k = reg.mixture.n_components
         for _ in range(50):
-            state = online_em_step(
-                state,
-                w,
-                h["alpha"][: state.mixture.n_components],
-                h["a"],
-                h["b"],
-                rho=0.8,
-            )
-            assert state.mixture.n_components == k
-            resp = state.mixture.responsibilities(w)
+            reg.upt_gm_param(w)
+            assert reg.mixture.n_components == k
+            resp = reg.mixture.responsibilities(w)
             assert np.isfinite(resp).all()
 
 
@@ -269,7 +213,7 @@ class TestDecayedGMRegularizer:
             reg.update(w, it)
         snapshot = reg.em_state()
         assert snapshot.resp_sum is not None
-        assert snapshot.em_updates == reg._em_updates
+        assert snapshot.mstep_count == reg.mstep_count
 
         resumed = DecayedGMRegularizer(24, rho=0.8, warmup_steps=2)
         resumed.load_em_state(snapshot)

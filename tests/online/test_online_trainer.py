@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import LazyUpdateSchedule
+from repro.core import GMRegularizer, LazyUpdateSchedule
 from repro.linear.logistic import LogisticRegression
 from repro.online import DecayedGMRegularizer, DriftStream, OnlineTrainer
+from repro.optim import ConstantLR, NonFiniteError
 from repro.optim.trainer import Trainer
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -93,16 +94,16 @@ class TestPartialFit:
         on the steps the per-layer warm-up test
         (``test_warmup_steps_are_eager_then_lazy_intervals_apply``)
         asserts: every warm-up step, then only the Im = Ig = 4 ticks."""
-        import repro.online.trainer as online_trainer
+        import repro.optim.trainer as step_module
 
         served = []
-        stacked_prepare = online_trainer.stacked_prepare
+        stacked_prepare = step_module.stacked_prepare
 
         def recording(*args, **kwargs):
             served.append(stacked_prepare(*args, **kwargs))
             return served[-1]
 
-        monkeypatch.setattr(online_trainer, "stacked_prepare", recording)
+        monkeypatch.setattr(step_module, "stacked_prepare", recording)
         model = make_model(
             n_features=16,
             rho=0.9,
@@ -128,6 +129,69 @@ class TestPartialFit:
     def test_n_reference_validation(self):
         with pytest.raises(ValueError, match="n_reference"):
             OnlineTrainer(make_model(), n_reference=0)
+
+    def test_nonfinite_loss_is_named_before_any_parameter_moves(self):
+        stream = DriftStream(n_features=10, batch_size=16, seed=8)
+        model = make_model(rho=0.9)
+        trainer = OnlineTrainer(model, lr=0.2)
+        for x, y in stream.batches(2):
+            trainer.partial_fit(x, y)
+        before = [p.value.copy() for p in model.parameters()]
+        pi, lam = model.regularizer.pi.copy(), model.regularizer.lam.copy()
+        x, y = stream.next_batch()
+        x[3, 0] = np.nan
+        with pytest.raises(
+            NonFiniteError, match=r"iteration 2 in phase 'grad'"
+        ):
+            trainer.partial_fit(x, y)
+        for param, value in zip(model.parameters(), before):
+            assert np.array_equal(param.value, value)
+        assert np.array_equal(model.regularizer.pi, pi)
+        assert np.array_equal(model.regularizer.lam, lam)
+        assert trainer.step_count == 2
+
+
+def assert_states_equal(a, b):
+    assert a.iteration == b.iteration
+    assert a.em.keys() == b.em.keys()
+    for name in a.em:
+        for field in ("pi", "lam", "resp_sum", "weighted_sq"):
+            left, right = getattr(a.em[name], field), getattr(b.em[name], field)
+            assert (left is None) == (right is None)
+            assert left is None or np.array_equal(left, right)
+        assert a.em[name].estep_count == b.em[name].estep_count
+        assert a.em[name].mstep_count == b.em[name].mstep_count
+
+
+@pytest.mark.parametrize("reg_cls", [GMRegularizer, DecayedGMRegularizer])
+def test_one_epoch_of_fit_is_partial_fit_over_its_batches(reg_cls):
+    """Both loops run one step: an unshuffled epoch of ``fit`` and
+    ``partial_fit`` over the same batches, with ``n_reference = N`` and
+    the same constant rate, end bit-identical."""
+    x, y = DriftStream(n_features=10, batch_size=32, seed=4).holdout(96)
+    models = [
+        LogisticRegression(
+            10, regularizer=reg_cls(10), rng=np.random.default_rng(5)
+        )
+        for _ in range(2)
+    ]
+    batch = Trainer(
+        models[0], lr=ConstantLR(0.3), momentum=0.9, batch_size=32,
+        shuffle=False,
+    )
+    batch.fit(x, y, epochs=1)
+    online = OnlineTrainer(
+        models[1], lr=ConstantLR(0.3), momentum=0.9, n_reference=96
+    )
+    for lo in range(0, 96, 32):
+        online.partial_fit(x[lo:lo + 32], y[lo:lo + 32])
+    for fitted, streamed in zip(*(m.parameters() for m in models)):
+        assert np.array_equal(fitted.value, streamed.value)
+    assert np.array_equal(models[0].regularizer.pi, models[1].regularizer.pi)
+    assert np.array_equal(
+        models[0].regularizer.lam, models[1].regularizer.lam
+    )
+    assert_states_equal(batch.state(), online.state())
 
 
 class TestTrainerStateHandoff:

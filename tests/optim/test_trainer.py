@@ -5,7 +5,15 @@ import pytest
 
 from repro.core import GMRegularizer, L2Regularizer, LazyUpdateSchedule
 from repro.linear import LogisticRegression
-from repro.optim import ConstantLR, Parameter, StepDecayLR, Trainer
+from repro.optim import (
+    ConstantLR,
+    NonFiniteError,
+    Parameter,
+    StepDecayLR,
+    Trainer,
+)
+from repro.telemetry.callbacks import EarlyStopping
+from repro.telemetry.events import Callback
 
 
 class QuadraticModel:
@@ -49,18 +57,59 @@ def test_history_records_every_epoch(rng):
         x, y, epochs=5, rng=rng
     )
     assert [r.epoch for r in history.records] == [0, 1, 2, 3, 4]
+    assert history.converged_epoch is None
     assert np.all(np.diff(history.cumulative_times()) >= 0.0)
 
 
 def test_convergence_early_stop(rng):
     x, y = make_data(rng)
-    trainer = Trainer(
-        QuadraticModel(4), lr=0.5, batch_size=64,
-        convergence_tol=1e-6, patience=2,
-    )
-    history = trainer.fit(x, y, epochs=200, rng=rng)
+    stopper = EarlyStopping(min_delta=1e-6, patience=2)
+    trainer = Trainer(QuadraticModel(4), lr=0.5, batch_size=64)
+    history = trainer.fit(x, y, epochs=200, rng=rng, callbacks=[stopper])
     assert history.converged_epoch is not None
-    assert len(history.records) < 200
+    assert history.converged_epoch == stopper.stopped_epoch
+    assert len(history.records) == history.converged_epoch + 1 < 200
+
+
+class RecordsLastGoodStep(Callback):
+    """Copies every parameter and the mixture after each finished batch."""
+
+    def on_batch_end(self, info, ctx):
+        mixture = getattr(ctx.model.regularizer, "mixture", None)
+        self.values = [p.value.copy() for p in ctx.parameters]
+        self.mixture = (
+            None if mixture is None else (mixture.pi.copy(), mixture.lam.copy())
+        )
+
+
+@pytest.mark.parametrize(
+    "make_reg",
+    [lambda: None, lambda: L2Regularizer(strength=1.0),
+     lambda: GMRegularizer(n_dimensions=10)],
+    ids=["none", "l2", "gm"],
+)
+def test_nonfinite_loss_is_named_before_any_parameter_moves(rng, make_reg):
+    """One NaN input row raises at its own iteration, in phase 'grad',
+    and leaves the weights and pi/lambda as the previous step left them."""
+    x = rng.normal(size=(80, 10))
+    y = (x[:, 0] > 0).astype(np.int64)
+    x[37, 2] = np.nan  # batch 2 of 16 rows without shuffling
+    model = LogisticRegression(10, regularizer=make_reg(), rng=rng)
+    recorder = RecordsLastGoodStep()
+    trainer = Trainer(model, lr=0.3, batch_size=16, shuffle=False)
+    with pytest.raises(
+        NonFiniteError, match=r"iteration 2 in phase 'grad'"
+    ) as raised:
+        trainer.fit(x, y, epochs=3, callbacks=[recorder])
+    assert isinstance(raised.value, ValueError)
+    for param, value in zip(model.parameters(), recorder.values):
+        assert np.array_equal(param.value, value)
+        assert np.all(np.isfinite(param.value))
+    if recorder.mixture is not None:
+        pi, lam = recorder.mixture
+        assert np.array_equal(model.regularizer.mixture.pi, pi)
+        assert np.array_equal(model.regularizer.mixture.lam, lam)
+    assert trainer.state().iteration == 2
 
 
 def test_validation_accuracy_recorded(rng):

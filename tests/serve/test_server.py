@@ -1167,6 +1167,36 @@ def test_a_release_strands_no_caller_whose_block_is_still_queued():
     batcher.close()
 
 
+def test_a_cancel_wakes_a_deadline_waiter_it_moves_into_the_head_batch():
+    """Cancelling the head block makes the next one the head batch; its
+    deadline waiter, asleep because it could not lead a batch without
+    its block, is woken to lead it instead of sleeping to its timeout."""
+    batches = []
+
+    def dispatch(method, rows, blocks):
+        batches.append(len(rows))
+        return lambda: rows[:, 0]
+
+    batcher = MicroBatcher(dispatch, max_batch_size=8, batch_timeout=0.0)
+    first = ServeRequest("predict", np.zeros((6, 1)))
+    second = ServeRequest("predict", np.ones((5, 1)))
+    assert batcher.submit_many([first, second]) == 2
+    answered = []
+    waiter = threading.Thread(
+        target=lambda: answered.append(batcher.wait(second, timeout=3.0)),
+        daemon=True,
+    )
+    waiter.start()
+    _until(lambda: len(batcher._cond._waiters) == 1)
+    assert batcher.wait(first, 0.0) is False
+    waiter.join(timeout=10.0)
+    assert not waiter.is_alive()
+    assert answered == [True]
+    assert batches == [5]
+    assert list(second.result) == [1.0] * 5
+    batcher.close()
+
+
 def test_deadline_expiring_in_the_queue_answers_inline_and_cancels(model, x):
     recorder = HoldsTheSlot(model)
     server = ModelServer(
